@@ -14,26 +14,31 @@ Returning Fractions keeps every value exact at any horizon; callers that
 want floats can convert, and for the horizons anyone prints the conversion
 is itself exact to well below double precision rounding.
 
-``exact_self_play_alpha`` cross-checks the closed form the hard way: when
-every transmit probability is 0, 1/2, or 1, a game is a deterministic
-function of one fair bit per player per slot, so running the batch engine
-over all 2^(2T) joint bit patterns averages the score exactly.
+``exact_self_play_alpha`` cross-checks the closed form from the machine
+itself: when every transmit probability is 0, 1/2, or 1, a game is a
+deterministic function of one fair bit per player per slot, and counting
+the bit patterns that reach each joint state slot by slot averages the
+score over all 2^(2T) of them exactly, in time polynomial in T.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
-import numpy as np
-
-from .batch import CompiledMachine, compile_machine, run_games_with_uniforms
+# run_games_with_uniforms is unused here; perfbench's traced pass patches it by this name
+from .batch import CompiledMachine, compile_machine, run_games_with_uniforms  # noqa: F401
 from .dsl import StrategyMachine
 
 
 def _check_horizon(horizon: int) -> int:
-    if not isinstance(horizon, int) or horizon < 1:
+    try:
+        T = operator.index(horizon)
+    except TypeError:
+        T = 0  # not an integer: rejected below
+    if isinstance(horizon, bool) or T < 1:
         raise ValueError("horizon must be a positive integer")
-    return horizon
+    return T
 
 
 def first_success_pmf(horizon: int) -> tuple[Fraction, ...]:
@@ -85,33 +90,42 @@ def beta3(horizon: int) -> Fraction:
 def exact_self_play_alpha(
     machine: StrategyMachine | CompiledMachine,
     horizon: int,
-    chunk_size: int = 1 << 20,
 ) -> Fraction:
-    """Average per-player self-play score by exhaustive enumeration.
+    """Average per-player self-play score over all 4^T bit patterns.
 
     Valid only for machines whose transmit probabilities are all 0, 1/2, or
-    1: then each game is determined by T fair bits per player, the 2^(2T)
-    joint patterns are equally likely, and summing integer scores over all
-    of them gives the exact expectation.  Cost grows as 4^T; horizons up to
-    the mid-teens are fine.
+    1: then each game is determined by one fair bit per player per slot.
+    Rather than play every pattern, count the bit prefixes reaching each
+    joint state (s_a, s_b); a player's two bit values split its count over
+    idle/transmit as (2, 0), (1, 1) or (0, 2), and a solo slot t (0-based)
+    reached by c prefixes scores c * 4^(T-1-t) over all patterns.  Cost is
+    O(T * S^2 * 4) big-integer steps for S states.  No final-slot override
+    applies, since a copy is never foreign.
     """
     T = _check_horizon(horizon)
     compiled = compile_machine(machine)
-    if not set(np.unique(compiled.probs)) <= {0.0, 0.5, 1.0}:
-        raise ValueError("exact enumeration needs transmit probabilities in {0, 1/2, 1}")
-    total_games = 1 << (2 * T)
-    total_score = 0
-    for lo in range(0, total_games, chunk_size):
-        idx = np.arange(lo, min(lo + chunk_size, total_games), dtype=np.int64)
-        # player 0 owns the high T bits, player 1 the low T bits; bit t-1
-        # decides slot t, and 0.75/0.25 turn a bit into a uniform that
-        # crosses the 1/2 threshold exactly when the bit is set
-        ua = np.empty((len(idx), T))
-        ub = np.empty((len(idx), T))
-        for t in range(T):
-            ua[:, t] = 0.75 - 0.5 * ((idx >> (T + t)) & 1)
-            ub[:, t] = 0.75 - 0.5 * ((idx >> t) & 1)
-        batch = run_games_with_uniforms(compiled, compiled, ua, ub)
-        total_score += int(batch.scores_a.sum(dtype=np.int64))
-        total_score += int(batch.scores_b.sum(dtype=np.int64))
-    return Fraction(total_score, 2 * total_games)
+    halves = {0.0: (2, 0), 0.5: (1, 1), 1.0: (0, 2)}
+    try:
+        split = [halves[p] for p in compiled.probs.tolist()]
+    except KeyError:
+        raise ValueError("exact enumeration needs transmit probabilities in {0, 1/2, 1}") from None
+    trans = compiled.trans.tolist()
+    counts = {(compiled.start, compiled.start): 1}
+    total = 0
+    for t in range(T):
+        nxt: dict[tuple[int, int], int] = {}
+        for (sa, sb), count in counts.items():
+            for xa in (0, 1):
+                for xb in (0, 1):
+                    weight = count * split[sa][xa] * split[sb][xb]
+                    if not weight:
+                        continue
+                    feedback = xa + xb
+                    if feedback == 1:
+                        total += weight * 4 ** (T - 1 - t)
+                    key = (trans[sa][xa][feedback], trans[sb][xb][feedback])
+                    if min(key) < 0:
+                        raise ValueError(f"no transition for a reachable move at slot {t + 1}")
+                    nxt[key] = nxt.get(key, 0) + weight
+        counts = nxt
+    return Fraction(total, 2 * 4**T)

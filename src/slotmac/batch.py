@@ -205,6 +205,10 @@ def run_games_with_uniforms(
     ub = np.asarray(ub, dtype=np.float64)
     if ua.shape != ub.shape or ua.ndim != 2:
         raise ValueError("uniform matrices must share a (runs, horizon) shape")
+    # outside [0, 1) a p=0 state could transmit or a p=1 state idle, into an
+    # undefined (-1) transition that silently indexes the last state
+    if not all(((u >= 0.0) & (u < 1.0)).all() for u in (ua, ub)):
+        raise ValueError("uniforms must lie in [0, 1)")
     n, horizon = ua.shape
     return _play_chunk(
         compile_machine(machine_a),

@@ -2,8 +2,8 @@
 
 The oracles here deliberately avoid the production code paths they check:
 the self-play value is recomputed by a joint-state dynamic program over
-exact rationals, and random machines are built straight from dicts rather
-than through the parser.
+exact rationals and by brute force through the batch engine, and random
+machines are built straight from dicts rather than through the parser.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from slotmac import StrategyMachine, solve_capture_table
+from slotmac.batch import CompiledMachine, compile_machine, run_games_with_uniforms
 from slotmac.dsl import StateSpec
 
 
@@ -54,20 +55,61 @@ def dp_self_play_alpha(machine: StrategyMachine, horizon: int) -> Fraction:
     return total(machine.start, machine.start, horizon) / 2
 
 
+def enumerate_self_play_alpha(
+    machine: StrategyMachine | CompiledMachine,
+    horizon: int,
+    chunk_size: int = 1 << 20,
+) -> Fraction:
+    """Average per-player self-play score by exhaustive enumeration.
+
+    Valid only for machines whose transmit probabilities are all 0, 1/2, or
+    1: then each game is determined by T fair bits per player, the 2^(2T)
+    joint patterns are equally likely, and summing integer scores over all
+    of them gives the exact expectation.  Runs the real batch engine,
+    foreign-opponent shadow included; cost grows as 4^T.
+    """
+    T = horizon
+    compiled = compile_machine(machine)
+    if not set(np.unique(compiled.probs)) <= {0.0, 0.5, 1.0}:
+        raise ValueError("exact enumeration needs transmit probabilities in {0, 1/2, 1}")
+    total_games = 1 << (2 * T)
+    total_score = 0
+    for lo in range(0, total_games, chunk_size):
+        idx = np.arange(lo, min(lo + chunk_size, total_games), dtype=np.int64)
+        # player 0 owns the high T bits, player 1 the low T bits; bit t-1
+        # decides slot t, and 0.75/0.25 turn a bit into a uniform that
+        # crosses the 1/2 threshold exactly when the bit is set
+        ua = np.empty((len(idx), T))
+        ub = np.empty((len(idx), T))
+        for t in range(T):
+            ua[:, t] = 0.75 - 0.5 * ((idx >> (T + t)) & 1)
+            ub[:, t] = 0.75 - 0.5 * ((idx >> t) & 1)
+        batch = run_games_with_uniforms(compiled, compiled, ua, ub)
+        total_score += int(batch.scores_a.sum(dtype=np.int64))
+        total_score += int(batch.scores_b.sum(dtype=np.int64))
+    return Fraction(total_score, 2 * total_games)
+
+
 def random_machine(
     rng: np.random.Generator,
     n_states: int | None = None,
     deterministic: bool = False,
+    half: bool = False,
+    override: bool = False,
 ) -> StrategyMachine:
     """A structurally valid machine with random transitions.  Transitions
     are defined exactly for the (action, feedback) pairs the transmit
-    probability allows, so validation always passes."""
+    probability allows, so validation always passes.  ``half`` draws every
+    transmit probability from {0, 1/2, 1}; ``override`` turns on the
+    final-slot grab against foreign opponents."""
     count = int(n_states if n_states is not None else rng.integers(1, 7))
     ids = [str(i) for i in range(1, count + 1)]
     states = {}
     for sid in ids:
         if deterministic:
             p = float(rng.integers(0, 2))
+        elif half:
+            p = float(rng.integers(0, 3)) / 2
         elif rng.random() < 0.3:
             p = float(rng.integers(0, 2))
         else:
@@ -82,7 +124,7 @@ def random_machine(
             for f in (a, a + 1):
                 transitions[(a, f)] = ids[int(rng.integers(0, count))]
         states[sid] = StateSpec(p, transitions)
-    return StrategyMachine("rand", ids[0], states)
+    return StrategyMachine("rand", ids[0], states, last_slot_override=override)
 
 
 class ReplayGenerator:

@@ -127,6 +127,20 @@ def test_scalar_matches_vectorized_on_shared_uniforms():
             assert batch.first_success[g] == want
 
 
+@pytest.mark.parametrize("bad", [1.0, 1.5, -0.25, np.nan])
+def test_vectorized_rejects_out_of_range_uniforms(bad):
+    # two always-transmitters can only collide; a uniform of 1 used to idle
+    # one of them into an undefined successor and score impossible games
+    ok = np.full((1, 3), 0.5)
+    worse = ok.copy()
+    worse[0, 1] = bad
+    for ua, ub in ((worse, ok), (ok, worse)):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            run_games_with_uniforms(builtin("always"), builtin("always"), ua, ub)
+    batch = run_games_with_uniforms(builtin("always"), builtin("always"), ok, np.zeros((1, 3)))
+    assert (batch.scores_a, batch.scores_b) == (0, 0)
+
+
 def test_invalid_machine_rejected_before_play():
     broken = StrategyMachine("broken", "a", {"a": StateSpec(0.5, {(1, 1): "a"})})
     ra, rb = _streams()
