@@ -21,20 +21,30 @@ not an artifact of the policy family: a virtual-device argument pinning
 z_2 = 2, a three-user relaxation whose infimum over all symmetric
 memoryless behaviors reproduces z_3, and the e-bound z_n <= (1-1/n)^-(n-1)
 <= e for all n.
+
+Every Monte Carlo estimate here and in ``multichannel`` runs through one
+stopping-time loop, ``_stopping_times``.  Episodes go in chunks of
+``CHUNK_SIZE``, chunk c drawing from its own stream.  Each slot t a
+simulator's step sees the still-open episodes and returns two masks over
+them: those that end at t, and those that end at t + 1 (a deterministic
+follow-up slot, or None).  An end past ``max_slots`` is censored: counted
+in ``SimSummary.censored`` and left out of the mean.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
 from .game import CapturePolicy
-from .optimize import golden_section, scan_then_golden
+from .optimize import scan_then_golden
 from .rng import DOMAIN_CAPTURE, DOMAIN_MISC, RngStream
 
 SCAN_POINTS = 999  # dense scan over p in {0.001, ..., 0.999}
+CHUNK_SIZE = 65_536  # episodes per simulation chunk, each with its own stream
 
 
 @dataclass(frozen=True)
@@ -148,13 +158,7 @@ class SimSummary:
     stderr: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "episodes": self.episodes,
-            "completed": self.completed,
-            "censored": self.censored,
-            "mean": self.mean,
-            "stderr": self.stderr,
-        }
+        return asdict(self)
 
 
 def summarize_times(times: np.ndarray, censored: int) -> SimSummary:
@@ -192,61 +196,76 @@ def _policy_tables(policy: CapturePolicy, users: int) -> tuple[np.ndarray, np.nd
     return probs, after
 
 
+def _stopping_times(stream: Callable[[int], RngStream], episodes: int, step: Callable, start: Callable | None = None,
+                    max_slots: int = 10_000, chunk_size: int = CHUNK_SIZE) -> SimSummary:
+    """The loop of the module docstring: chunk c of n episodes draws from
+    ``stream(c)`` with state ``start(n)``, and slot t calls
+    ``step(gen, state, open_idx)`` for the ascending open indices."""
+    if episodes < 1 or max_slots < 1:
+        raise ValueError("need episodes >= 1 and max_slots >= 1")
+    times: list[np.ndarray] = []
+    censored = 0
+    for chunk, lo in enumerate(range(0, episodes, chunk_size)):
+        n = min(lo + chunk_size, episodes) - lo
+        gen = stream(chunk).generator()
+        state = start(n) if start is not None else None
+        done_at = np.zeros(n, dtype=np.int64)
+        open_idx = np.arange(n)
+        for t in range(1, max_slots + 1):
+            if len(open_idx) == 0:
+                break
+            ended, ends_next = step(gen, state, open_idx)
+            done_at[open_idx[ended]] = t
+            if ends_next is not None:
+                if t < max_slots:
+                    done_at[open_idx[ends_next]] = t + 1
+                ended = ended | ends_next
+            open_idx = open_idx[~ended]
+        censored += int(np.count_nonzero(done_at == 0))
+        times.append(done_at[done_at > 0])
+    return summarize_times(np.concatenate(times), censored)
+
+
 def simulate_capture(
     policy: CapturePolicy,
     users: int,
     episodes: int,
     seed: int,
     max_slots: int = 10_000,
-    chunk_size: int = 65_536,
 ) -> SimSummary:
     """Monte Carlo estimate of the expected capture time under a policy.
 
     Only the active-group size matters to the episode's future, so each
     episode is advanced by drawing the number of transmitters binomially.
-    Chunked, stream-per-chunk draws keep the estimate reproducible.
     """
-    if users < 1 or episodes < 1:
-        raise ValueError("need users >= 1 and episodes >= 1")
+    if users < 1:
+        raise ValueError("need users >= 1")
     probs, after = _policy_tables(policy, users)
-    times: list[np.ndarray] = []
-    censored = 0
-    for chunk, lo in enumerate(range(0, episodes, chunk_size)):
-        n = min(lo + chunk_size, episodes) - lo
-        gen = RngStream(seed, (DOMAIN_CAPTURE, users, chunk)).generator()
-        group = np.full(n, users, dtype=np.int64)
-        done_at = np.zeros(n, dtype=np.int64)
-        for t in range(1, max_slots + 1):
-            open_idx = np.flatnonzero(done_at == 0)
-            if len(open_idx) == 0:
-                break
-            m = group[open_idx]
-            k = gen.binomial(m, probs[m])
-            captured = k == 1
-            done_at[open_idx[captured]] = t
-            rest = open_idx[~captured]
-            group[rest] = after[group[rest], k[~captured]]
-        censored += int(np.count_nonzero(done_at == 0))
-        times.append(done_at[done_at > 0])
-    return summarize_times(np.concatenate(times), censored)
+
+    def step(gen, group, open_idx):
+        m = group[open_idx]
+        k = gen.binomial(m, probs[m])
+        captured = k == 1
+        rest = open_idx[~captured]
+        group[rest] = after[group[rest], k[~captured]]
+        return captured, None
+
+    return _stopping_times(lambda chunk: RngStream(seed, (DOMAIN_CAPTURE, users, chunk)), episodes, step,
+                           start=lambda n: np.full(n, users, dtype=np.int64), max_slots=max_slots)
 
 
 def simulate_virtual_pair(episodes: int, seed: int, max_slots: int = 10_000) -> SimSummary:
     """Capture time for two devices that each send 0 or 1 packets per slot
     with equal probability, stopping when exactly one packet is sent.  The
-    two-user floor argument says this takes 2 slots on average."""
-    if episodes < 1:
-        raise ValueError("need episodes >= 1")
-    gen = RngStream(seed, (DOMAIN_MISC, 2)).generator()
-    done_at = np.zeros(episodes, dtype=np.int64)
-    for t in range(1, max_slots + 1):
-        open_idx = np.flatnonzero(done_at == 0)
-        if len(open_idx) == 0:
-            break
+    two-user floor argument says this takes 2 slots on average.  All
+    episodes share one unchunked stream."""
+
+    def step(gen, state, open_idx):
         packets = gen.integers(0, 2, size=(len(open_idx), 2))
-        done_at[open_idx[packets.sum(axis=1) == 1]] = t
-    censored = int(np.count_nonzero(done_at == 0))
-    return summarize_times(done_at[done_at > 0], censored)
+        return packets.sum(axis=1) == 1, None
+
+    return _stopping_times(lambda chunk: RngStream(seed, (DOMAIN_MISC, 2)), episodes, step,
+                           max_slots=max_slots, chunk_size=episodes)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +278,8 @@ def three_user_relaxation(a: float, c: float) -> float:
     b = 1 - a - c, and the expected stopping time is at least
 
         1 + (1 - 3 b a^2) / (1 - a^3 - b^3 - c^3).
+
+    Works elementwise on arrays as well.
     """
     b = 1.0 - a - c
     denom = 1.0 - a**3 - b**3 - c**3
@@ -279,10 +300,8 @@ def minimize_three_user_relaxation(grid: int = 401, zooms: int = 8) -> tuple[flo
         a = np.linspace(lo_a, hi_a, grid)
         c = np.linspace(lo_c, hi_c, grid)
         A, C = np.meshgrid(a, c, indexing="ij")
-        feasible = _relaxation_feasible(A, C)
-        B = 1.0 - A - C
-        denom = 1.0 - A**3 - B**3 - C**3
-        value = np.where(feasible, 1.0 + (1.0 - 3.0 * B * A * A) / np.where(feasible, denom, 1.0), math.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value = np.where(_relaxation_feasible(A, C), three_user_relaxation(A, C), math.inf)
         i, j = np.unravel_index(np.argmin(value), value.shape)
         if value[i, j] < best[2]:
             best = (float(A[i, j]), float(C[i, j]), float(value[i, j]))

@@ -36,7 +36,7 @@ from .multichannel import (
     beta_theta_independent,
     optimize_three_user_two_channel,
     renewal_value,
-    simulate_multichannel,
+    resolve_multichannel,
     two_user_capture_time,
 )
 from .rng import DOMAIN_MISC, RngStream
@@ -182,11 +182,7 @@ def _exec_capture_converse(opts: dict) -> CommandResult:
 
 def _exec_multichannel_optimize(opts: dict) -> CommandResult:
     result = optimize_three_user_two_channel(grid=opts["grid"], tol=opts["tol"])
-    two_user = {
-        "m=1": float(two_user_capture_time(1)),
-        "m=2": float(two_user_capture_time(2)),
-        "m=3": float(two_user_capture_time(3)),
-    }
+    two_user = {f"m={m}": float(two_user_capture_time(m)) for m in (1, 2, 3)}
     payload = {"three_users_two_channels": result.to_json_dict(), "two_users": two_user}
     files = {"multichannel_opt.json": _json_text(payload)}
     if opts.get("emit_plot_data"):
@@ -219,21 +215,12 @@ def _sweep_csv(result) -> str:
 
 def _exec_multichannel_simulate(opts: dict) -> CommandResult:
     users, channels = opts["users"], opts["channels"]
-    params = tuple(opts["params"]) if opts.get("params") else None
-    summary = simulate_multichannel(
-        users, channels, opts["episodes"], opts["seed"],
-        params=params, max_slots=opts["max_slots"],
-    )
-    if users == 2:
-        expected = float(two_user_capture_time(channels))
-    elif users == 3 and channels == 2:
-        expected = renewal_value(beta_theta_full(*(params or (0.5, 0.0, 1.0))))
-    else:
-        expected = solve_capture_table(3).values[3]
+    simulate, expected = resolve_multichannel(users, channels, opts["params"])
+    summary = simulate(opts["episodes"], opts["seed"], max_slots=opts["max_slots"])
     payload = {
         "users": users,
         "channels": channels,
-        "params": list(params) if params else None,
+        "params": opts["params"],
         "expected": expected,
         **summary.to_json_dict(),
     }
@@ -353,52 +340,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _collect_options(args: argparse.Namespace) -> tuple[str, dict]:
-    command = args.command
-    if getattr(args, "subcommand", None):
-        command = f"{args.command} {args.subcommand}"
-    if command == "tournament":
-        opts = {
-            "entrants": [s for s in args.entrants.split(",") if s],
-            "strategy_dir": str(args.strategy_dir.resolve()) if args.strategy_dir else None,
-            "horizon": args.horizon,
-            "runs": args.runs,
-            "seed": _resolve_seed(args.seed),
-            "jobs": args.jobs,
-            "dump_transcripts": args.dump_transcripts,
-        }
-    elif command == "analytics":
-        opts = {"t_min": args.t_min, "t_max": args.t_max}
-    elif command == "capture solve":
-        opts = {"n_max": args.n_max, "tol": args.tol}
-    elif command == "capture simulate":
-        opts = {
-            "users": args.users,
-            "episodes": args.episodes,
-            "max_slots": args.max_slots,
-            "fixed_p": args.fixed_p,
-            "seed": _resolve_seed(args.seed),
-        }
-    elif command == "capture converse":
-        opts = {"n_max": args.n_max, "episodes": args.episodes, "seed": _resolve_seed(args.seed)}
-    elif command == "multichannel optimize":
-        opts = {"grid": args.grid, "tol": args.tol, "emit_plot_data": args.emit_plot_data}
-    elif command == "multichannel simulate":
-        params = None
-        if args.params:
-            parts = [float(x) for x in args.params.split(",")]
-            if len(parts) != 3:
-                raise ValueError("--params needs exactly three comma-separated values")
-            params = parts
-        opts = {
-            "users": args.users,
-            "channels": args.channels,
-            "episodes": args.episodes,
-            "max_slots": args.max_slots,
-            "params": params,
-            "seed": _resolve_seed(args.seed),
-        }
-    else:
-        raise ValueError(f"unknown command {command!r}")
+    """The command name and its options: every parsed argument except the
+    routing keys and --out-dir, with the few that need it made concrete."""
+    command = " ".join(getattr(args, key) for key in ("command", "subcommand") if hasattr(args, key))
+    opts = {k: v for k, v in vars(args).items() if k not in ("command", "subcommand", "out_dir")}
+    if "seed" in opts:
+        opts["seed"] = _resolve_seed(opts["seed"])
+    if "entrants" in opts:
+        opts["entrants"] = [s for s in opts["entrants"].split(",") if s]
+    if "strategy_dir" in opts:
+        opts["strategy_dir"] = str(opts["strategy_dir"].resolve()) if opts["strategy_dir"] else None
+    if "params" in opts:
+        opts["params"] = [float(x) for x in opts["params"].split(",")] if opts["params"] else None
+        if opts["params"] and len(opts["params"]) != 3:
+            raise ValueError("--params needs exactly three comma-separated values")
     return command, opts
 
 

@@ -30,6 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -37,9 +39,9 @@ from .capture import (
     CaptureTable,
     GroupSplittingPolicy,
     SimSummary,
+    _stopping_times,
     simulate_capture,
     solve_capture_table,
-    summarize_times,
 )
 from .optimize import golden_section, scan_then_golden
 from .rng import DOMAIN_MULTICHANNEL, RngStream
@@ -99,13 +101,19 @@ def beta_theta_full(p: float, q: float, r: float) -> BetaTheta:
     for x in (p, q, r):
         if not 0.0 <= x <= 1.0:
             raise ValueError("family parameters must lie in [0, 1]")
+    return BetaTheta(*_beta_theta_poly(p, q, r))
+
+
+def _beta_theta_poly(p, q, r):
+    """The (beta, theta) polynomials of the full family, unchecked; works
+    elementwise on arrays, which is how the optimizer's grid uses it."""
     beta = p**3 * (q**3 + (1 - q) ** 3) + (1 - p) ** 3 * (r**3 + (1 - r) ** 3)
     theta = (
         p**3 * 3 * q**2 * (1 - q)
         + (1 - p) ** 3 * 3 * r**2 * (1 - r)
         + 3 * p**2 * (1 - p) * (1 - 2 * q * (1 - q) * (1 - r) - r * (1 - q) ** 2)
     )
-    return BetaTheta(beta, theta)
+    return beta, theta
 
 
 def beta_theta_independent(p: float) -> BetaTheta:
@@ -150,13 +158,7 @@ def optimize_three_user_two_channel(grid: int = 101, tol: float = 1e-6) -> Three
     if grid < 11:
         raise ValueError("grid is too coarse to be useful")
     xs = np.linspace(0.0, 1.0, grid)
-    P, Q, R = np.meshgrid(xs, xs, xs, indexing="ij")
-    beta = P**3 * (Q**3 + (1 - Q) ** 3) + (1 - P) ** 3 * (R**3 + (1 - R) ** 3)
-    theta = (
-        P**3 * 3 * Q**2 * (1 - Q)
-        + (1 - P) ** 3 * 3 * R**2 * (1 - R)
-        + 3 * P**2 * (1 - P) * (1 - 2 * Q * (1 - Q) * (1 - R) - R * (1 - Q) ** 2)
-    )
+    beta, theta = _beta_theta_poly(*np.meshgrid(xs, xs, xs, indexing="ij"))
     z = np.full(beta.shape, math.inf)
     ok = beta < 1.0 - 1e-9
     z[ok] = (1.0 + theta[ok]) / (1.0 - beta[ok])
@@ -250,13 +252,12 @@ def simulate_two_user(
     seed: int,
     distribution=None,
     max_slots: int = 10_000,
-    chunk_size: int = 65_536,
 ) -> SimSummary:
     """Two users repeat a subset distribution until their picks differ
     (some channel then has exactly one transmitter).  Defaults to the
     uniform distribution over all 2^m subsets, which is optimal."""
-    if channels < 1 or episodes < 1:
-        raise ValueError("need channels >= 1 and episodes >= 1")
+    if channels < 1:
+        raise ValueError("need channels >= 1")
     n_subsets = 1 << channels
     if distribution is None:
         distribution = np.full(n_subsets, 1.0 / n_subsets)
@@ -265,29 +266,23 @@ def simulate_two_user(
         raise ValueError(f"distribution must cover all {n_subsets} subsets")
     cum = np.cumsum(q)
     cum[-1] = 1.0
-    times: list[np.ndarray] = []
-    censored = 0
-    for chunk, lo in enumerate(range(0, episodes, chunk_size)):
-        n = min(lo + chunk_size, episodes) - lo
-        gen = RngStream(seed, (DOMAIN_MULTICHANNEL, 2, channels, chunk)).generator()
-        done_at = np.zeros(n, dtype=np.int64)
-        for t in range(1, max_slots + 1):
-            open_idx = np.flatnonzero(done_at == 0)
-            if len(open_idx) == 0:
-                break
-            codes = _draw_codes(gen, cum, len(open_idx), 2)
-            done_at[open_idx[codes[:, 0] != codes[:, 1]]] = t
-        censored += int(np.count_nonzero(done_at == 0))
-        times.append(done_at[done_at > 0])
-    return summarize_times(np.concatenate(times), censored)
+
+    def step(gen, state, open_idx):
+        codes = _draw_codes(gen, cum, len(open_idx), 2)
+        return codes[:, 0] != codes[:, 1], None
+
+    return _stopping_times(lambda chunk: RngStream(seed, (DOMAIN_MULTICHANNEL, 2, channels, chunk)), episodes,
+                           step, max_slots=max_slots)
+
+
+DEFAULT_THREE_USER_PARAMS = (0.5, 0.0, 1.0)  # the optimum, at value 4/3
 
 
 def simulate_three_user_two_channel(
-    params: tuple[float, float, float] = (0.5, 0.0, 1.0),
+    params: tuple[float, float, float] = DEFAULT_THREE_USER_PARAMS,
     episodes: int = 100_000,
     seed: int = 0,
     max_slots: int = 10_000,
-    chunk_size: int = 65_536,
 ) -> SimSummary:
     """Three users on two channels under family parameters (p, q, r).
 
@@ -298,36 +293,59 @@ def simulate_three_user_two_channel(
     no randomness.
     """
     p, q, r = params
-    bt = beta_theta_full(p, q, r)  # validates the parameters
-    if episodes < 1:
-        raise ValueError("need episodes >= 1")
-    if bt.beta >= 1.0:
+    if beta_theta_full(p, q, r).beta >= 1.0:  # also validates the parameters
         raise ValueError("these parameters never capture (beta = 1)")
     dist = np.array([(1 - p) * (1 - r), p * (1 - q), (1 - p) * r, p * q])
     cum = np.cumsum(dist)
     cum[-1] = 1.0
-    times: list[np.ndarray] = []
-    censored = 0
-    for chunk, lo in enumerate(range(0, episodes, chunk_size)):
-        n = min(lo + chunk_size, episodes) - lo
-        gen = RngStream(seed, (DOMAIN_MULTICHANNEL, 3, 2, chunk)).generator()
-        done_at = np.zeros(n, dtype=np.int64)
-        for t in range(1, max_slots + 1):
-            open_idx = np.flatnonzero(done_at == 0)
-            if len(open_idx) == 0:
-                break
-            codes = _draw_codes(gen, cum, len(open_idx), 3)
-            c1 = (codes & 1).sum(axis=1)
-            c2 = ((codes >> 1) & 1).sum(axis=1)
-            capture = (c1 == 1) | (c2 == 1)
-            same = (codes[:, 0] == codes[:, 1]) & (codes[:, 1] == codes[:, 2])
-            followup = ~capture & ~same
-            done_at[open_idx[capture]] = t
-            if t < max_slots:
-                done_at[open_idx[followup]] = t + 1
-        censored += int(np.count_nonzero(done_at == 0))
-        times.append(done_at[done_at > 0])
-    return summarize_times(np.concatenate(times), censored)
+
+    def step(gen, state, open_idx):
+        codes = _draw_codes(gen, cum, len(open_idx), 3)
+        c1 = (codes & 1).sum(axis=1)
+        c2 = ((codes >> 1) & 1).sum(axis=1)
+        capture = (c1 == 1) | (c2 == 1)
+        same = (codes[:, 0] == codes[:, 1]) & (codes[:, 1] == codes[:, 2])
+        return capture, ~capture & ~same
+
+    return _stopping_times(lambda chunk: RngStream(seed, (DOMAIN_MULTICHANNEL, 3, 2, chunk)), episodes, step,
+                           max_slots=max_slots)
+
+
+def resolve_multichannel(
+    users: int,
+    channels: int,
+    params: tuple[float, float, float] | None = None,
+    distribution=None,
+    table: CaptureTable | None = None,
+) -> tuple[Callable[..., SimSummary], float]:
+    """(simulate, expected) for a supported configuration: two users on
+    any number of channels (subset distribution, default uniform), three
+    on two channels ((p, q, r), default ``DEFAULT_THREE_USER_PARAMS``), or
+    three on one channel (the group-splitting capture problem).
+    ``simulate(episodes, seed, max_slots=...)`` runs it and ``expected`` is
+    its exact mean.  An option the configuration does not use raises."""
+
+    def reject(**unused) -> None:
+        for name, value in unused.items():
+            if value is not None:
+                raise ValueError(f"{name} does not apply to {users} users on {channels} channel(s)")
+
+    if users == 2:
+        reject(params=params)
+        if distribution is None:
+            expected = float(two_user_capture_time(channels))
+        else:
+            expected = two_user_value(distribution)
+        return partial(simulate_two_user, channels, distribution=distribution), expected
+    if users == 3 and channels == 2:
+        reject(distribution=distribution)
+        params = DEFAULT_THREE_USER_PARAMS if params is None else params
+        return partial(simulate_three_user_two_channel, params), renewal_value(beta_theta_full(*params))
+    if users == 3 and channels == 1:
+        reject(params=params, distribution=distribution)
+        table = table if table is not None else solve_capture_table(3)
+        return partial(simulate_capture, GroupSplittingPolicy(table), 3), table.values[3]
+    raise ValueError(f"unsupported configuration: {users} users on {channels} channels")
 
 
 def simulate_multichannel(
@@ -340,18 +358,6 @@ def simulate_multichannel(
     table: CaptureTable | None = None,
     max_slots: int = 10_000,
 ) -> SimSummary:
-    """Simulate the supported user/channel configurations.
-
-    Two users on any number of channels (optionally with an explicit
-    subset distribution); three users on two channels (optionally with
-    explicit (p, q, r)); three users on one channel, which is just the
-    single-channel capture problem under the group-splitting policy.
-    """
-    if users == 2:
-        return simulate_two_user(channels, episodes, seed, distribution, max_slots)
-    if users == 3 and channels == 2:
-        return simulate_three_user_two_channel(params or (0.5, 0.0, 1.0), episodes, seed, max_slots)
-    if users == 3 and channels == 1:
-        policy = GroupSplittingPolicy(table if table is not None else solve_capture_table(3))
-        return simulate_capture(policy, 3, episodes, seed, max_slots)
-    raise ValueError(f"unsupported configuration: {users} users on {channels} channels")
+    """Simulate one of the configurations ``resolve_multichannel`` supports."""
+    simulate, _ = resolve_multichannel(users, channels, params, distribution, table)
+    return simulate(episodes, seed, max_slots=max_slots)

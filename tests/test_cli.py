@@ -173,6 +173,71 @@ def test_tournament_outputs_and_replay(capsys, tmp_path):
     assert mismatch == [] and errors == []
 
 
+REPLAY_FORMS = {
+    "tournament": ["tournament", "--entrants", "four_state,tft0", "--horizon", "20", "--runs", "500",
+                   "--seed", "3", "--dump-transcripts", "1"],
+    "analytics": ["analytics", "--t-min", "2", "--t-max", "9"],
+    "capture_solve": ["capture", "solve", "--n-max", "6"],
+    "capture_simulate": ["capture", "simulate", "--users", "5", "--episodes", "4000", "--seed", "2"],
+    "capture_simulate_fixed_p": ["capture", "simulate", "--users", "4", "--episodes", "4000",
+                                 "--fixed-p", "0.3", "--max-slots", "5", "--seed", "2"],
+    "capture_converse": ["capture", "converse", "--n-max", "5", "--episodes", "4000", "--seed", "4"],
+    "multichannel_optimize": ["multichannel", "optimize", "--grid", "21", "--emit-plot-data"],
+    "multichannel_simulate_params": ["multichannel", "simulate", "--users", "3", "--channels", "2",
+                                     "--episodes", "4000", "--params", "0.4,0.3,0.6", "--seed", "5"],
+    "multichannel_simulate_two_users": ["multichannel", "simulate", "--users", "2", "--channels", "3",
+                                        "--episodes", "4000", "--seed", "6"],
+    "multichannel_simulate_one_channel": ["multichannel", "simulate", "--users", "3", "--channels", "1",
+                                          "--episodes", "4000", "--seed", "7"],
+}
+
+
+@pytest.mark.parametrize("form", sorted(REPLAY_FORMS))
+def test_replay_is_byte_identical(form, capsys, tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    code, _, _ = run(REPLAY_FORMS[form] + ["--out-dir", str(first)], capsys)
+    assert code == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    names = manifest["outputs"] + ["manifest.json"]
+    assert sorted(p.name for p in first.iterdir()) == sorted(names)
+    code, _, _ = run(["replay", str(first / "manifest.json"), "--out-dir", str(second)], capsys)
+    assert code == 0
+    assert sorted(p.name for p in second.iterdir()) == sorted(names)
+    match, mismatch, errors = filecmp.cmpfiles(first, second, names, shallow=False)
+    assert mismatch == [] and errors == []
+
+
+@pytest.mark.parametrize("users, channels", [(2, 2), (3, 1)])
+def test_multichannel_params_not_applied_exit_one(users, channels, capsys, tmp_path):
+    # --params only shapes three users on two channels; elsewhere it used
+    # to be dropped silently while the manifest still recorded it
+    code, _, err = run(
+        ["multichannel", "simulate", "--users", str(users), "--channels", str(channels),
+         "--episodes", "100", "--params", "0.1,0.2,0.3", "--out-dir", str(tmp_path / "out")],
+        capsys,
+    )
+    assert code == 1
+    assert "params does not apply" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["capture", "simulate", "--users", "3", "--max-slots", "0"],
+        ["capture", "simulate", "--users", "3", "--episodes", "0"],
+        ["multichannel", "simulate", "--users", "3", "--channels", "2", "--max-slots", "-1"],
+        ["multichannel", "simulate", "--users", "2", "--channels", "2", "--max-slots", "0"],
+    ],
+)
+def test_empty_simulation_exit_one(argv, capsys, tmp_path):
+    # max-slots 0 used to censor every episode and write "mean": NaN
+    code, _, err = run(argv + ["--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert "max_slots >= 1" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_tournament_merit_sanity(capsys, tmp_path):
     code, out, _ = run(
         [

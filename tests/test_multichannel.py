@@ -20,8 +20,10 @@ from slotmac import (
 )
 from slotmac.capture import GroupSplittingPolicy, simulate_capture
 from slotmac.multichannel import (
+    DEFAULT_THREE_USER_PARAMS,
     followup_transmitter,
     followup_will_transmit,
+    resolve_multichannel,
     simulate_three_user_two_channel,
     simulate_two_user,
     slot_outcome,
@@ -244,3 +246,44 @@ def test_dispatcher_single_channel_is_plain_capture(capture_table):
 def test_dispatcher_rejects_unsupported_combo():
     with pytest.raises(ValueError):
         simulate_multichannel(4, 2, episodes=100, seed=0)
+
+
+def test_resolver_expected_values(capture_table):
+    assert resolve_multichannel(2, 3)[1] == float(two_user_capture_time(3))
+    q = [0.5, 0.25, 0.125, 0.125]
+    assert resolve_multichannel(2, 2, distribution=q)[1] == two_user_value(q)
+    assert resolve_multichannel(3, 2)[1] == renewal_value(beta_theta_full(*DEFAULT_THREE_USER_PARAMS))
+    assert resolve_multichannel(3, 2)[1] == pytest.approx(4 / 3, abs=1e-15)
+    assert resolve_multichannel(3, 2, params=(0.4, 0.3, 0.6))[1] == renewal_value(beta_theta_full(0.4, 0.3, 0.6))
+    assert resolve_multichannel(3, 1, table=capture_table)[1] == capture_table.values[3]
+
+
+@pytest.mark.parametrize(
+    "users, channels, given",
+    [
+        (2, 2, {"params": (0.1, 0.2, 0.3)}),
+        (2, 1, {"params": (0.5, 0.0, 1.0)}),
+        (3, 1, {"params": (0.1, 0.2, 0.3)}),
+        (3, 1, {"distribution": (0.5, 0.5)}),
+        (3, 2, {"distribution": (0.25, 0.25, 0.25, 0.25)}),
+    ],
+)
+def test_resolver_rejects_options_the_configuration_ignores(users, channels, given):
+    # these used to be accepted and silently dropped
+    (name,) = given
+    with pytest.raises(ValueError, match=f"{name} does not apply"):
+        resolve_multichannel(users, channels, **given)
+    with pytest.raises(ValueError, match=f"{name} does not apply"):
+        simulate_multichannel(users, channels, episodes=100, seed=0, **given)
+
+
+def test_resolver_looks_up_simulators_when_called(monkeypatch):
+    # instrumentation wraps these module attributes after import
+    from slotmac import multichannel
+
+    calls = []
+    for name in ("simulate_two_user", "simulate_three_user_two_channel"):
+        monkeypatch.setattr(multichannel, name, lambda *a, name=name, **kw: calls.append(name))
+    simulate_multichannel(2, 2, episodes=10, seed=0)
+    simulate_multichannel(3, 2, episodes=10, seed=0)
+    assert calls == ["simulate_two_user", "simulate_three_user_two_channel"]

@@ -1,0 +1,110 @@
+"""The shared stopping-time loop: every simulator's draws pinned exactly,
+and the input checks the loop owns."""
+
+from __future__ import annotations
+
+import pytest
+
+from slotmac.capture import (
+    CHUNK_SIZE,
+    FixedProbabilityPolicy,
+    GroupSplittingPolicy,
+    simulate_capture,
+    simulate_virtual_pair,
+)
+from slotmac.multichannel import (
+    simulate_multichannel,
+    simulate_three_user_two_channel,
+    simulate_two_user,
+)
+
+SKEWED = (0.7, 0.1, 0.1, 0.1)
+FAMILY = (0.4, 0.3, 0.6)
+
+# name -> (call, (episodes, completed, censored, repr(mean), repr(stderr))).
+# The values were recorded before the four simulators shared one loop;
+# any change to a draw, its order or the censoring rule shows up here.
+PINNED = {
+    "capture_two_chunks": (
+        lambda t: simulate_capture(GroupSplittingPolicy(t), 7, 70_000, seed=11),
+        (70000, 70000, 0, "2.2675428571428573", "0.005625337585897699"),
+    ),
+    "capture_fixed_all_censored": (
+        lambda t: simulate_capture(FixedProbabilityPolicy(0.999), 4, 400, seed=7, max_slots=30),
+        (400, 0, 400, "nan", "nan"),
+    ),
+    "capture_one_slot": (
+        lambda t: simulate_capture(GroupSplittingPolicy(t), 3, 1000, seed=2, max_slots=1),
+        (1000, 413, 587, "1.0", "0.0"),
+    ),
+    "virtual_pair_unchunked": (
+        lambda t: simulate_virtual_pair(70_000, seed=3),
+        (70000, 70000, 0, "2.0056142857142856", "0.005356834320313036"),
+    ),
+    "virtual_pair_censored": (
+        lambda t: simulate_virtual_pair(5000, seed=4, max_slots=2),
+        (5000, 3745, 1255, "1.325233644859813", "0.007656081061471471"),
+    ),
+    "two_user_two_chunks": (
+        lambda t: simulate_two_user(3, 70_000, seed=4),
+        (70000, 70000, 0, "1.1437857142857142", "0.0015395442407670548"),
+    ),
+    "two_user_skewed_censored": (
+        lambda t: simulate_two_user(2, 3000, seed=5, distribution=SKEWED, max_slots=2),
+        (3000, 2215, 785, "1.3530474040632054", "0.010156964461714428"),
+    ),
+    "three_two_two_chunks": (
+        lambda t: simulate_three_user_two_channel(FAMILY, 70_000, seed=6),
+        (70000, 70000, 0, "1.3765", "0.002086039461405195"),
+    ),
+    # follow-ups after slot 1 land on slot max_slots = 2 and count;
+    # those after slot 2 would land past it and are censored
+    "three_two_followup_at_cap": (
+        lambda t: simulate_three_user_two_channel(FAMILY, 5000, seed=8, max_slots=2),
+        (5000, 4866, 134, "1.3205918618988903", "0.00669114123404943"),
+    ),
+    "three_two_followup_censored": (
+        lambda t: simulate_three_user_two_channel(FAMILY, 5000, seed=8, max_slots=1),
+        (5000, 3306, 1694, "1.0", "0.0"),
+    ),
+    "dispatch_two_user": (
+        lambda t: simulate_multichannel(2, 2, 3000, seed=9),
+        (3000, 3000, 0, "1.3576666666666666", "0.01311377384389725"),
+    ),
+    "dispatch_three_two": (
+        lambda t: simulate_multichannel(3, 2, 3000, seed=9),
+        (3000, 3000, 0, "1.3136666666666668", "0.011596182710161367"),
+    ),
+    "dispatch_three_one": (
+        lambda t: simulate_multichannel(3, 1, 3000, seed=9, table=t),
+        (3000, 3000, 0, "1.7736666666666667", "0.015620683168637635"),
+    ),
+}
+
+
+def test_pinned_cases_span_chunks():
+    assert 70_000 > CHUNK_SIZE
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_simulator_draws_are_pinned(name, capture_table):
+    call, expected = PINNED[name]
+    s = call(capture_table)
+    assert (s.episodes, s.completed, s.censored, repr(s.mean), repr(s.stderr)) == expected
+
+
+SIMULATORS = {
+    "capture": lambda episodes, max_slots: simulate_capture(
+        FixedProbabilityPolicy(0.5), 3, episodes, seed=0, max_slots=max_slots),
+    "virtual_pair": lambda episodes, max_slots: simulate_virtual_pair(episodes, seed=0, max_slots=max_slots),
+    "two_user": lambda episodes, max_slots: simulate_two_user(2, episodes, seed=0, max_slots=max_slots),
+    "three_two": lambda episodes, max_slots: simulate_three_user_two_channel(
+        FAMILY, episodes, seed=0, max_slots=max_slots),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATORS))
+@pytest.mark.parametrize("episodes, max_slots", [(0, 10), (-3, 10), (10, 0), (10, -1)])
+def test_simulators_reject_empty_runs(name, episodes, max_slots):
+    with pytest.raises(ValueError, match="episodes >= 1 and max_slots >= 1"):
+        SIMULATORS[name](episodes, max_slots)
