@@ -7,6 +7,12 @@ index, player), so results are byte-identical however the chunks are
 scheduled across threads.  Like the scalar engine, each player consumes
 exactly one uniform per slot per game regardless of its transmit
 probability, which keeps draw sequences aligned between implementations.
+
+Every machine plays from one state table (``CompiledMachine``).  The
+foreign-opponent shadow of a last-slot-override machine is folded into
+that table when it is compiled, so a slot is the same few lookups for
+every machine and the override is only which probability vector the final
+slot reads.
 """
 
 from __future__ import annotations
@@ -19,21 +25,33 @@ from .dsl import StrategyMachine, StrategyParseError, validate_machine
 from .rng import DOMAIN_GAME, RngStream
 
 CHUNK_SIZE = 65_536
+# state ids are int16 with -1 for "no transition"
+_MAX_STATES = int(np.iinfo(np.int16).max) + 1
+# the (own action, feedback) pairs two players can produce
+_MOVES = ((0, 0), (0, 1), (1, 1), (1, 2))
 
 
 @dataclass(frozen=True)
 class CompiledMachine:
-    """A StrategyMachine flattened to arrays for vectorized play.
+    """A StrategyMachine flattened to one state table for vectorized play.
 
-    ``trans[s, a, f]`` is the successor state index for (action a, feedback
-    f), or -1 where no transition is defined.
+    ``probs[s]`` is state s's transmit probability, ``last_probs[s]`` the
+    one used on the final slot, and ``trans[s, a, f]`` the successor for
+    (own action a, feedback f), or -1 where no transition is defined.
+
+    A plain machine's S states are its own and ``last_probs`` is ``probs``.
+    A last-slot-override machine runs a shadow copy of itself on the
+    opponent's inferred moves, and its table holds the pair: state
+    ``own * (S + 1) + shadow``.  Shadow slot S means the opponent was
+    exposed as foreign, by a move the shadow gives probability 0 or has no
+    transition for, and it absorbs.  Foreign states have ``last_probs``
+    1.0, so the machine transmits on the final slot.
     """
 
-    ids: tuple[str, ...]
-    probs: np.ndarray  # (S,) float64
-    trans: np.ndarray  # (S, 2, 3) int16
+    probs: np.ndarray  # (N,) float64
+    last_probs: np.ndarray  # (N,) float64
+    trans: np.ndarray  # (N, 2, 3) int16
     start: int
-    override: bool
 
 
 def compile_machine(machine: StrategyMachine | CompiledMachine) -> CompiledMachine:
@@ -42,48 +60,55 @@ def compile_machine(machine: StrategyMachine | CompiledMachine) -> CompiledMachi
     errors = [d for d in validate_machine(machine) if d.severity == "error"]
     if errors:
         raise StrategyParseError(errors)
-    ids = tuple(machine.states)
-    index = {sid: i for i, sid in enumerate(ids)}
-    probs = np.array([machine.states[s].transmit_prob for s in ids], dtype=np.float64)
-    trans = np.full((len(ids), 2, 3), -1, dtype=np.int16)
+    S = len(machine.states)
+    size = S * (S + 1) if machine.last_slot_override else S
+    if size > _MAX_STATES:
+        raise ValueError(f"machine {machine.name!r} compiles to {size} states; int16 ids allow {_MAX_STATES}")
+    index = {sid: i for i, sid in enumerate(machine.states)}
+    probs = np.array([spec.transmit_prob for spec in machine.states.values()], dtype=np.float64)
+    trans = np.full((S, 2, 3), -1, dtype=np.int16)
     for sid, spec in machine.states.items():
         for (action, fb), target in spec.transitions.items():
             trans[index[sid], action, fb] = index[target]
-    return CompiledMachine(ids, probs, trans, index[machine.start], machine.last_slot_override)
+    start = index[machine.start]
+    if machine.last_slot_override:
+        return _fold_shadow(probs.tolist(), trans.reshape(S, 6).tolist(), start)
+    return CompiledMachine(probs, probs, trans, start)
+
+
+def _fold_shadow(probs: list[float], moves: list[list[int]], start: int) -> CompiledMachine:
+    """The (own, shadow) table of an override machine; see CompiledMachine.
+    ``moves[s][3 * a + f]`` is the plain successor of state s."""
+    S = len(probs)
+    width = S + 1  # shadow slots, the last one foreign
+    # follow[shadow][3 * x + f]: the shadow once the machine played x and
+    # heard f, so the opponent played f - x
+    follow = []
+    for p, row in zip(probs, moves):
+        nxt = [S] * 6
+        for x, f in _MOVES:
+            opp = f - x
+            if row[3 * opp + f] >= 0 and p != (0.0 if opp else 1.0):
+                nxt[3 * x + f] = row[3 * opp + f]
+        follow.append(nxt)
+    follow.append([S] * 6)
+    flat = [o * width + s if o >= 0 else -1 for own in moves for nxt in follow for o, s in zip(own, nxt)]
+    return CompiledMachine(
+        np.array([p for p in probs for _ in range(width)], dtype=np.float64),
+        np.array([1.0 if shadow == S else p for p in probs for shadow in range(width)], dtype=np.float64),
+        np.array(flat, dtype=np.int16).reshape(S * width, 2, 3),
+        start * width,
+    )
 
 
 @dataclass
 class GameBatch:
-    """Per-game results of a batch: integer scores for both players, the
-    slot of the first solo success (0 when there was none), and, when
-    requested, a bitmask per game of the state indices each player visited."""
+    """Per-game results of a batch: integer scores for both players and the
+    slot of the first solo success (0 when there was none)."""
 
     scores_a: np.ndarray
     scores_b: np.ndarray
     first_success: np.ndarray
-    visited_a: np.ndarray | None = None
-    visited_b: np.ndarray | None = None
-
-
-class _Shadow:
-    """Vectorized foreign-opponent detector for one player of a chunk."""
-
-    def __init__(self, machine: CompiledMachine, n: int):
-        self.machine = machine
-        self.state = np.full(n, machine.start, dtype=np.int16)
-        self.foreign = np.zeros(n, dtype=bool)
-
-    def update(self, own: np.ndarray, feedback: np.ndarray) -> None:
-        m = self.machine
-        opp = feedback - own
-        prob = m.probs[self.state]
-        exposed = ((opp == 1) & (prob == 0.0)) | ((opp == 0) & (prob == 1.0))
-        nxt = m.trans[self.state, opp, feedback]
-        exposed |= nxt < 0
-        tracking = ~self.foreign
-        self.foreign |= tracking & exposed
-        move = tracking & ~exposed
-        self.state = np.where(move, nxt, self.state)
 
 
 def _play_chunk(
@@ -92,7 +117,6 @@ def _play_chunk(
     horizon: int,
     n: int,
     uniforms,
-    track_visits: bool,
 ) -> GameBatch:
     """Run n games of ma vs mb.  ``uniforms(player, t)`` must return the n
     uniform draws for that player and slot; it is called in slot order,
@@ -102,27 +126,11 @@ def _play_chunk(
     score_a = np.zeros(n, dtype=np.int32)
     score_b = np.zeros(n, dtype=np.int32)
     first = np.zeros(n, dtype=np.int32)
-    shadow_a = _Shadow(ma, n) if ma.override else None
-    shadow_b = _Shadow(mb, n) if mb.override else None
-    visited_a = visited_b = None
-    if track_visits:
-        if len(ma.ids) > 64 or len(mb.ids) > 64:
-            raise ValueError("visit tracking supports at most 64 states")
-        visited_a = np.zeros(n, dtype=np.uint64)
-        visited_b = np.zeros(n, dtype=np.uint64)
-    one = np.uint64(1)
     for t in range(1, horizon + 1):
         ua = uniforms(0, t)
         ub = uniforms(1, t)
-        if track_visits:
-            visited_a |= one << sa.astype(np.uint64)
-            visited_b |= one << sb.astype(np.uint64)
-        pa = ma.probs[sa]
-        pb = mb.probs[sb]
-        if shadow_a is not None and t == horizon:
-            pa = np.where(shadow_a.foreign, 1.0, pa)
-        if shadow_b is not None and t == horizon:
-            pb = np.where(shadow_b.foreign, 1.0, pb)
+        pa = (ma.last_probs if t == horizon else ma.probs)[sa]
+        pb = (mb.last_probs if t == horizon else mb.probs)[sb]
         xa = (ua < pa).astype(np.int16)
         xb = (ub < pb).astype(np.int16)
         feedback = xa + xb
@@ -133,11 +141,7 @@ def _play_chunk(
         # successor states; -1 can only appear on the forced final slot
         sa = ma.trans[sa, xa, feedback]
         sb = mb.trans[sb, xb, feedback]
-        if shadow_a is not None:
-            shadow_a.update(xa, feedback)
-        if shadow_b is not None:
-            shadow_b.update(xb, feedback)
-    return GameBatch(score_a, score_b, first, visited_a, visited_b)
+    return GameBatch(score_a, score_b, first)
 
 
 def run_games(
@@ -147,8 +151,6 @@ def run_games(
     runs: int,
     seed: int,
     pairing: tuple[int, int] = (0, 0),
-    chunk_size: int = CHUNK_SIZE,
-    track_visits: bool = False,
 ) -> GameBatch:
     """Play ``runs`` independent games and collect per-game results.
 
@@ -161,31 +163,18 @@ def run_games(
         raise ValueError("horizon must be >= 1 and runs >= 0")
     ma = compile_machine(machine_a)
     mb = compile_machine(machine_b)
-    out = GameBatch(
-        np.zeros(runs, dtype=np.int32),
-        np.zeros(runs, dtype=np.int32),
-        np.zeros(runs, dtype=np.int32),
-        np.zeros(runs, dtype=np.uint64) if track_visits else None,
-        np.zeros(runs, dtype=np.uint64) if track_visits else None,
-    )
-    for chunk, lo in enumerate(range(0, runs, chunk_size)):
-        hi = min(lo + chunk_size, runs)
+    out = GameBatch(*(np.zeros(runs, dtype=np.int32) for _ in range(3)))
+    for chunk, lo in enumerate(range(0, runs, CHUNK_SIZE)):
+        hi = min(lo + CHUNK_SIZE, runs)
         n = hi - lo
         gens = [
             RngStream(seed, (DOMAIN_GAME, pairing[0], pairing[1], chunk, player)).generator()
             for player in (0, 1)
         ]
-        batch = _play_chunk(
-            ma, mb, horizon, n,
-            lambda player, t: gens[player].random(n),
-            track_visits,
-        )
+        batch = _play_chunk(ma, mb, horizon, n, lambda player, t: gens[player].random(n))
         out.scores_a[lo:hi] = batch.scores_a
         out.scores_b[lo:hi] = batch.scores_b
         out.first_success[lo:hi] = batch.first_success
-        if track_visits:
-            out.visited_a[lo:hi] = batch.visited_a
-            out.visited_b[lo:hi] = batch.visited_b
     return out
 
 
@@ -194,7 +183,6 @@ def run_games_with_uniforms(
     machine_b: StrategyMachine | CompiledMachine,
     ua: np.ndarray,
     ub: np.ndarray,
-    track_visits: bool = False,
 ) -> GameBatch:
     """Run one game per row of the given uniform matrices (runs x horizon).
 
@@ -216,5 +204,4 @@ def run_games_with_uniforms(
         horizon,
         n,
         lambda player, t: (ua if player == 0 else ub)[:, t - 1],
-        track_visits,
     )

@@ -158,7 +158,9 @@ class SimSummary:
     stderr: float
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        # with fewer than two completed episodes the mean or stderr is NaN,
+        # which JSON cannot hold: write null
+        return {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in asdict(self).items()}
 
 
 def summarize_times(times: np.ndarray, censored: int) -> SimSummary:

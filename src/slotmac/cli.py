@@ -40,7 +40,7 @@ from .multichannel import (
     two_user_capture_time,
 )
 from .rng import DOMAIN_MISC, RngStream
-from .strategies import DEFAULT_LINEUP, builtin, load_strategy_dir
+from .strategies import BUILTIN_NAMES, DEFAULT_LINEUP, builtin, load_strategy_dir
 from .tournament import TournamentConfig, merit_report, run_tournament
 
 MANIFEST_NAME = "manifest.json"
@@ -53,7 +53,8 @@ class CommandResult:
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # NaN is not JSON: an undefined value must be written as null, never as NaN
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +65,7 @@ def _exec_tournament(opts: dict) -> CommandResult:
     if opts.get("strategy_dir"):
         machines = load_strategy_dir(opts["strategy_dir"])
     else:
-        machines = {name: builtin(name) for name in DEFAULT_LINEUP}
+        machines = {name: builtin(name) for name in BUILTIN_NAMES}
     names = opts["entrants"]
     missing = [n for n in names if n not in machines]
     if missing:
@@ -273,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("tournament", help="round-robin tournament of strategy machines")
     t.add_argument("--entrants", default=",".join(DEFAULT_LINEUP),
-                   help="comma-separated machine names (default: the full built-in lineup)")
+                   help="comma-separated machine names (default: the six-machine built-in lineup)")
     t.add_argument("--strategy-dir", type=Path, default=None,
                    help="load .strat files from this directory instead of the builtins")
     t.add_argument("--horizon", type=int, default=100)

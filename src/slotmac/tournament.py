@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batch import CHUNK_SIZE, compile_machine, run_games
+from .batch import compile_machine, run_games
 from .dsl import StrategyMachine
 from .strategies import never_transmits
 
@@ -34,7 +34,6 @@ class TournamentConfig:
     horizon: int = 100
     runs: int = 1000
     seed: int = 0
-    chunk_size: int = CHUNK_SIZE
 
     def __post_init__(self) -> None:
         names = [name for name, _ in self.entrants]
@@ -98,10 +97,7 @@ def run_tournament(config: TournamentConfig, jobs: int = 1) -> ScoreMatrix:
 
     def play_pair(pair: tuple[int, int]) -> None:
         i, j = pair
-        batch = run_games(
-            compiled[i], compiled[j], config.horizon, config.runs,
-            config.seed, pairing=(i, j), chunk_size=config.chunk_size,
-        )
+        batch = run_games(compiled[i], compiled[j], config.horizon, config.runs, config.seed, pairing=(i, j))
         if i == j:
             per_game = (batch.scores_a + batch.scores_b) / 2.0
             mean[i, i], stderr[i, i] = _sample_stats(per_game)

@@ -65,8 +65,9 @@ def enumerate_self_play_alpha(
     Valid only for machines whose transmit probabilities are all 0, 1/2, or
     1: then each game is determined by T fair bits per player, the 2^(2T)
     joint patterns are equally likely, and summing integer scores over all
-    of them gives the exact expectation.  Runs the real batch engine,
-    foreign-opponent shadow included; cost grows as 4^T.
+    of them gives the exact expectation.  Runs the real batch engine on the
+    compiled table, foreign-opponent shadow included (an override machine's
+    table carries it); cost grows as 4^T.
     """
     T = horizon
     compiled = compile_machine(machine)

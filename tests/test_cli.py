@@ -306,3 +306,36 @@ def test_unknown_entrant_exit_one(capsys):
     code, _, err = run(["tournament", "--entrants", "four_state,zzz", "--runs", "10"], capsys)
     assert code == 1
     assert "zzz" in err
+
+
+def test_tournament_enters_any_builtin(capsys, tmp_path):
+    # four_state_enhanced is a builtin outside the default lineup
+    code, _, err = run(
+        ["tournament", "--entrants", "four_state,four_state_enhanced,never", "--horizon", "20",
+         "--runs", "500", "--out-dir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0, err
+    merit = json.loads((tmp_path / "merit.json").read_text())
+    assert [r["name"] for r in merit["entrants"]] == ["four_state", "four_state_enhanced", "never"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+@pytest.mark.parametrize(
+    "argv, mean",
+    [
+        # every episode censored: no mean, no stderr
+        (["--users", "4", "--fixed-p", "0.999", "--max-slots", "30", "--episodes", "400"], None),
+        # one episode completes: a mean but no stderr
+        (["--users", "3", "--fixed-p", "0.9", "--max-slots", "1", "--episodes", "10", "--seed", "0"], 1.0),
+    ],
+)
+def test_undefined_summary_written_as_null(argv, mean, capsys, tmp_path):
+    code, _, _ = run(["capture", "simulate", *argv, "--out-dir", str(tmp_path)], capsys)
+    assert code == 0
+    data = json.loads((tmp_path / "capture_sim.json").read_text(), parse_constant=_reject_constant)
+    assert data["mean"] == mean
+    assert data["stderr"] is None

@@ -20,7 +20,6 @@ from slotmac import (
     run_games,
     run_games_with_uniforms,
 )
-from slotmac.batch import compile_machine
 from slotmac.strategies import BUILTIN_NAMES, DEFAULT_LINEUP, never_transmits
 
 from conftest import ReplayStream, ScriptedStrategy, random_machine
@@ -32,7 +31,7 @@ RUNS = 200_000
 @pytest.fixture(scope="module")
 def self_play():
     m = builtin("four_state")
-    return run_games(m, m, HORIZON, RUNS, seed=101, track_visits=True)
+    return run_games(m, m, HORIZON, RUNS, seed=101)
 
 
 def test_self_play_mean_near_alpha(self_play):
@@ -69,12 +68,28 @@ def test_expected_slots_before_success(self_play):
     assert abs(waste.mean() - want) < 4 * stderr
 
 
-def test_collision_state_unreachable_in_self_play(self_play):
+def test_collision_state_unreachable_in_self_play():
     # the post-collision recovery state only fires against foreign play; in
-    # self-play neither copy must ever enter it
-    cm = compile_machine(builtin("four_state"))
-    bit = 1 << cm.ids.index("4")
-    assert not ((self_play.visited_a | self_play.visited_b) & bit).any()
+    # self-play neither copy can ever enter it.  Walk every joint state
+    # (s_a, s_b) that moves of positive probability reach.
+    m = builtin("four_state")
+
+    def actions(sid):
+        p = m.states[sid].transmit_prob
+        return [x for x, possible in ((0, p < 1), (1, p > 0)) if possible]
+
+    seen = {(m.start, m.start)}
+    stack = list(seen)
+    while stack:
+        sa, sb = stack.pop()
+        for xa in actions(sa):
+            for xb in actions(sb):
+                f = xa + xb
+                nxt = (m.states[sa].transitions[(xa, f)], m.states[sb].transitions[(xb, f)])
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+    assert {sid for pair in seen for sid in pair} == {"1", "2", "3"}
 
 
 def test_perfect_alternation_after_first_success():
