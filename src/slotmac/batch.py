@@ -42,10 +42,11 @@ class CompiledMachine:
     A plain machine's S states are its own and ``last_probs`` is ``probs``.
     A last-slot-override machine runs a shadow copy of itself on the
     opponent's inferred moves, and its table holds the pair: state
-    ``own * (S + 1) + shadow``.  Shadow slot S means the opponent was
-    exposed as foreign, by a move the shadow gives probability 0 or has no
-    transition for, and it absorbs.  Foreign states have ``last_probs``
-    1.0, so the machine transmits on the final slot.
+    ``own * (S + 1) + shadow``, both halves beginning in the machine's start
+    state.  Shadow slot S means the opponent was exposed as foreign, by a
+    move the shadow gives probability 0 or has no transition for, and it
+    absorbs.  Foreign states have ``last_probs`` 1.0, so the machine
+    transmits on the final slot.
     """
 
     probs: np.ndarray  # (N,) float64
@@ -65,20 +66,21 @@ def compile_machine(machine: StrategyMachine | CompiledMachine) -> CompiledMachi
     if size > _MAX_STATES:
         raise ValueError(f"machine {machine.name!r} compiles to {size} states; int16 ids allow {_MAX_STATES}")
     index = {sid: i for i, sid in enumerate(machine.states)}
-    probs = np.array([spec.transmit_prob for spec in machine.states.values()], dtype=np.float64)
-    trans = np.full((S, 2, 3), -1, dtype=np.int16)
-    for sid, spec in machine.states.items():
+    probs = [spec.transmit_prob for spec in machine.states.values()]
+    # moves[s][3 * a + f]: the plain successor of state s, -1 where undefined
+    moves = [[-1] * 6 for _ in range(S)]
+    for row, spec in zip(moves, machine.states.values()):
         for (action, fb), target in spec.transitions.items():
-            trans[index[sid], action, fb] = index[target]
+            row[3 * action + fb] = index[target]
     start = index[machine.start]
     if machine.last_slot_override:
-        return _fold_shadow(probs.tolist(), trans.reshape(S, 6).tolist(), start)
-    return CompiledMachine(probs, probs, trans, start)
+        return _fold_shadow(probs, moves, start)
+    p = np.array(probs, dtype=np.float64)
+    return CompiledMachine(p, p, np.array(moves, dtype=np.int16).reshape(S, 2, 3), start)
 
 
 def _fold_shadow(probs: list[float], moves: list[list[int]], start: int) -> CompiledMachine:
-    """The (own, shadow) table of an override machine; see CompiledMachine.
-    ``moves[s][3 * a + f]`` is the plain successor of state s."""
+    """The (own, shadow) table of an override machine; see CompiledMachine."""
     S = len(probs)
     width = S + 1  # shadow slots, the last one foreign
     # follow[shadow][3 * x + f]: the shadow once the machine played x and
@@ -97,7 +99,7 @@ def _fold_shadow(probs: list[float], moves: list[list[int]], start: int) -> Comp
         np.array([p for p in probs for _ in range(width)], dtype=np.float64),
         np.array([1.0 if shadow == S else p for p in probs for shadow in range(width)], dtype=np.float64),
         np.array(flat, dtype=np.int16).reshape(S * width, 2, 3),
-        start * width,
+        start * width + start,
     )
 
 

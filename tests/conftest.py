@@ -102,7 +102,8 @@ def random_machine(
     are defined exactly for the (action, feedback) pairs the transmit
     probability allows, so validation always passes.  ``half`` draws every
     transmit probability from {0, 1/2, 1}; ``override`` turns on the
-    final-slot grab against foreign opponents."""
+    final-slot grab against foreign opponents.  The start state is drawn
+    last, from all the states."""
     count = int(n_states if n_states is not None else rng.integers(1, 7))
     ids = [str(i) for i in range(1, count + 1)]
     states = {}
@@ -125,7 +126,8 @@ def random_machine(
             for f in (a, a + 1):
                 transitions[(a, f)] = ids[int(rng.integers(0, count))]
         states[sid] = StateSpec(p, transitions)
-    return StrategyMachine("rand", ids[0], states, last_slot_override=override)
+    start = ids[int(rng.integers(0, count))]
+    return StrategyMachine("rand", start, states, last_slot_override=override)
 
 
 class ReplayGenerator:

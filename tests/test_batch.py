@@ -77,12 +77,13 @@ PINNED_BUILTINS = {
 # seed -> the same digest of run_games(ma, mb, 12, 3000, seed=2024,
 # pairing=(seed, 99)), where ma (override on) and mb (override on for odd
 # seeds) come from random_machine(default_rng(seed)); in every one the
-# override changes some scores
+# override changes some scores, and ma starts in a state other than its
+# first declared one
 PINNED_RANDOM = {
-    0: "6e00de8d915207c71025",
-    1: "bda5a9cdc831da96bfeb",
-    2: "3e57c7dba17bc4c9bc0c",
-    3: "833fea06618d3e674ee8",
+    0: "742f3d8b66970fe02086",
+    1: "1557ed190ab9b24b3177",
+    2: "459f912d76ba5295efc1",
+    3: "c421f4010bb314eea010",
 }
 
 
@@ -126,6 +127,44 @@ def test_batch_matches_scalar_with_override(seed, horizon, sides):
         t = play_game(ma, mb, horizon, ReplayStream(ua[g]), ReplayStream(ub[g]))
         assert t.scores == (batch.scores_a[g], batch.scores_b[g]), g
         assert batch.first_success[g] == (t.first_success or 0), g
+
+
+def _rotated(machine: StrategyMachine, k: int) -> StrategyMachine:
+    # the same machine with its states declared from the k-th one on, so it
+    # no longer starts in its first declared state
+    items = list(machine.states.items())
+    states = dict(items[k:] + items[:k])
+    return StrategyMachine(machine.name, machine.start, states, machine.last_slot_override)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("opponent", BUILTIN_NAMES)
+def test_override_start_is_not_the_first_declared_state(k, opponent):
+    # declaration order is not behaviour: the rotated machine reproduces the
+    # draws pinned for four_state_enhanced from either seat
+    enhanced = builtin("four_state_enhanced")
+    rotated = _rotated(enhanced, k)
+    assert next(iter(rotated.states)) != rotated.start
+    i, j = BUILTIN_NAMES.index("four_state_enhanced"), BUILTIN_NAMES.index(opponent)
+    as_a = run_games(rotated, builtin(opponent), 9, 3000, seed=2024, pairing=(i, j))
+    as_b = run_games(builtin(opponent), rotated, 9, 3000, seed=2024, pairing=(j, i))
+    assert _digest(as_a) == PINNED_BUILTINS[("four_state_enhanced", opponent)]
+    assert _digest(as_b) == PINNED_BUILTINS[(opponent, "four_state_enhanced")]
+
+
+def test_rotated_override_machine_matches_scalar_in_self_play():
+    # a copy of itself is never foreign, so no game ends in a last-slot grab
+    rng = np.random.default_rng(5)
+    rotated = _rotated(builtin("four_state_enhanced"), 2)
+    plain = StrategyMachine("four_state", rotated.start, rotated.states)
+    ua, ub = rng.random((64, 10)), rng.random((64, 10))
+    batch = run_games_with_uniforms(rotated, rotated, ua, ub)
+    reference = run_games_with_uniforms(plain, plain, ua, ub)
+    for g in range(len(ua)):
+        t = play_game(rotated, rotated, 10, ReplayStream(ua[g]), ReplayStream(ub[g]))
+        assert t.scores == (batch.scores_a[g], batch.scores_b[g]), g
+    assert (batch.scores_a == reference.scores_a).all()
+    assert (batch.scores_b == reference.scores_b).all()
 
 
 def _cycle(n_states: int, override: bool) -> StrategyMachine:
