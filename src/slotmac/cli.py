@@ -62,6 +62,9 @@ def _json_text(payload) -> str:
 
 
 def _exec_tournament(opts: dict) -> CommandResult:
+    dump = opts.get("dump_transcripts", 0)
+    if dump < 0:
+        raise ValueError(f"--dump-transcripts must be at least 0, got {dump}")
     if opts.get("strategy_dir"):
         machines = load_strategy_dir(opts["strategy_dir"])
     else:
@@ -79,7 +82,6 @@ def _exec_tournament(opts: dict) -> CommandResult:
     matrix = run_tournament(config, jobs=opts["jobs"])
     report = merit_report(matrix, config)
     files = {"score_matrix.csv": matrix.to_csv(), "merit.json": report.to_json()}
-    dump = opts.get("dump_transcripts", 0)
     if dump:
         files["transcripts.json"] = _transcripts(config, dump)
     lines = [
@@ -397,6 +399,8 @@ def _run_validate(args: argparse.Namespace) -> int:
 
 
 def _run_replay(args: argparse.Namespace) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     manifest = json.loads(args.manifest.read_text(encoding="utf-8"))
     command = manifest["command"]
     opts = dict(manifest["options"])

@@ -4,6 +4,16 @@ The objectives here are cheap, smooth on the open unit interval, and can
 have more than one dip, so the strategy everywhere is the blunt one: a
 dense scan to find the right neighborhood, then golden-section search on
 the bracket around the best grid point.
+
+The dense scan can be screened.  ``scan_then_golden`` then evaluates a
+vectorized ``screen`` of the objective on the whole grid in one call, and
+the exact scalar objective only at the grid points whose screened value is
+within ``SCREEN_SLACK`` of the screened minimum, and inside the
+golden-section polish.  Every number returned still comes from the scalar
+objective, and the result equals the unscreened one whenever the screen is
+within SCREEN_SLACK / 2 of f at every grid point: each grid minimizer of f
+is then kept, so the first-index tie rule and the bracket come out the
+same.
 """
 
 from __future__ import annotations
@@ -11,7 +21,10 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+import numpy as np
+
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+SCREEN_SLACK = 1e-9  # absolute; a screen must be within half of it of f
 
 
 def golden_section(
@@ -54,15 +67,28 @@ def scan_then_golden(
     hi: float,
     points: int,
     tol: float = 1e-12,
+    screen: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[float, float]:
     """Evaluate f on an inclusive uniform grid, then refine the minimum by
-    golden-section search on the bracket around the best grid point."""
+    golden-section search on the bracket around the best grid point; ties
+    go to the first grid point.
+
+    With a ``screen`` (f vectorized over an array of grid points), f itself
+    is evaluated only where the screen is within SCREEN_SLACK of its
+    minimum; the result is the unscreened one if |screen - f| <
+    SCREEN_SLACK / 2 on the grid.
+    """
     if points < 2:
         raise ValueError("need at least two grid points")
     step = (hi - lo) / (points - 1)
     xs = [lo + i * step for i in range(points)]
-    values = [f(x) for x in xs]
-    i = min(range(points), key=values.__getitem__)
+    if screen is None:
+        near = range(points)
+    else:
+        screened = screen(np.array(xs))
+        near = np.flatnonzero(screened <= screened.min() + SCREEN_SLACK).tolist()
+    values = {j: f(xs[j]) for j in near}
+    i = min(near, key=values.__getitem__)
     a = xs[i - 1] if i > 0 else xs[i]
     b = xs[i + 1] if i < points - 1 else xs[i]
     if a == b:

@@ -89,6 +89,8 @@ def run_tournament(config: TournamentConfig, jobs: int = 1) -> ScoreMatrix:
     lower-variance read on self-play value.  ``jobs`` only sets how many
     pairings run concurrently; it never changes the numbers.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     k = len(config.entrants)
     names = tuple(name for name, _ in config.entrants)
     compiled = [compile_machine(m) for _, m in config.entrants]

@@ -2,20 +2,24 @@
 
 The oracles here deliberately avoid the production code paths they check:
 the self-play value is recomputed by a joint-state dynamic program over
-exact rationals and by brute force through the batch engine, and random
+exact rationals and by brute force through the batch engine, the capture
+table by the full scalar scan without the numpy screen, and random
 machines are built straight from dicts rather than through the parser.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from slotmac import StrategyMachine, solve_capture_table
+from slotmac import StrategyMachine, capture_objective, solve_capture_table
 from slotmac.batch import CompiledMachine, compile_machine, run_games_with_uniforms
+from slotmac.capture import SCAN_POINTS, CaptureTable
 from slotmac.dsl import StateSpec
+from slotmac.optimize import golden_section
 
 
 @pytest.fixture(scope="session")
@@ -89,6 +93,40 @@ def enumerate_self_play_alpha(
         total_score += int(batch.scores_a.sum(dtype=np.int64))
         total_score += int(batch.scores_b.sum(dtype=np.int64))
     return Fraction(total_score, 2 * total_games)
+
+
+def scalar_scan_then_golden(f, lo: float, hi: float, points: int, tol: float = 1e-12) -> tuple[float, float]:
+    """Evaluate f on an inclusive uniform grid, then refine the minimum by
+    golden-section search on the bracket around the best grid point."""
+    if points < 2:
+        raise ValueError("need at least two grid points")
+    step = (hi - lo) / (points - 1)
+    xs = [lo + i * step for i in range(points)]
+    values = [f(x) for x in xs]
+    i = min(range(points), key=values.__getitem__)
+    a = xs[i - 1] if i > 0 else xs[i]
+    b = xs[i + 1] if i < points - 1 else xs[i]
+    if a == b:
+        return xs[i], values[i]
+    x, fx = golden_section(f, a, b, tol)
+    if values[i] < fx:
+        return xs[i], values[i]
+    return x, fx
+
+
+def scalar_capture_table(n_max: int, tol: float = 1e-9) -> CaptureTable:
+    """The capture table by the full scalar scan: every one of the
+    SCAN_POINTS grid points of every stage goes through the scalar
+    ``capture_objective``, with no screen.  Costs O(n_max^3) Python."""
+    probs = [math.nan, 1.0]
+    values = [math.nan, 1.0]
+    for n in range(2, n_max + 1):
+        p, z = scalar_scan_then_golden(
+            lambda p: capture_objective(n, p, values), 0.001, 0.999, SCAN_POINTS, tol
+        )
+        probs.append(p)
+        values.append(z)
+    return CaptureTable(tuple(probs[: n_max + 1]), tuple(values[: n_max + 1]))
 
 
 def random_machine(

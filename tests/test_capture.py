@@ -3,6 +3,7 @@ supporting evidence that the table cannot be beaten by much."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -18,12 +19,16 @@ from slotmac import (
     simulate_capture,
     solve_capture_table,
 )
+from slotmac import capture
 from slotmac.capture import (
+    MAX_USERS,
     capture_upper_bound,
     minimize_three_user_relaxation,
     simulate_virtual_pair,
     three_user_relaxation,
 )
+
+from conftest import scalar_capture_table
 
 # reference solution of the recursion, one row per group size
 REFERENCE = {
@@ -83,6 +88,52 @@ def test_rows_and_csv(capture_table):
 def test_solver_input_validation():
     with pytest.raises(ValueError):
         solve_capture_table(0)
+
+
+def test_screened_solver_matches_scalar_scan():
+    # the numpy screen only decides which grid points the scalar objective
+    # visits, so the table is the full scalar scan's, bit for bit
+    assert repr(solve_capture_table(60)) == repr(scalar_capture_table(60))
+
+
+def test_solver_digest_n100():
+    # recorded from the full scalar scan
+    table = solve_capture_table(100)
+    digest = hashlib.sha256(repr((table.probs, table.values)).encode()).hexdigest()
+    assert digest == "dd11d9dfa8e122f33f33ac7bb94894d3356993f08499f529216bda44ad17855e"
+
+
+def test_solver_evaluates_few_scalar_points(monkeypatch):
+    calls = []
+    scalar = capture.capture_objective
+    monkeypatch.setattr(capture, "capture_objective", lambda *a: calls.append(a) or scalar(*a))
+    solve_capture_table(30)
+    # a screened grid point or two plus the golden-section polish per stage,
+    # not the 999-point scan
+    assert len(calls) <= 50 * 29
+
+
+def test_max_users_is_the_float_limit():
+    # every weight min(z_i, z_{n-i}) C(n, i) with z <= e is finite up to
+    # MAX_USERS, and the middle one is not one user later
+    assert math.isfinite(math.comb(MAX_USERS, MAX_USERS // 2) * math.e)
+    assert not math.isfinite(math.comb(MAX_USERS + 1, (MAX_USERS + 1) // 2) * math.e)
+    z = [math.e] * MAX_USERS
+    for p in (0.001, 0.5, 0.999):
+        assert math.isfinite(capture_objective(MAX_USERS, p, z))
+
+
+def test_solver_rejects_n_past_the_float_limit(monkeypatch):
+    with pytest.raises(ValueError, match="1027"):
+        capture_objective(MAX_USERS + 1, 0.5, [math.e] * (MAX_USERS + 1))
+
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage was solved")
+
+    monkeypatch.setattr(capture, "scan_then_golden", no_stage)
+    for n_max in (MAX_USERS + 1, 1030):
+        with pytest.raises(ValueError, match="1027"):
+            solve_capture_table(n_max)
 
 
 def test_two_users_left_transmit_half(capture_table):

@@ -339,3 +339,50 @@ def test_undefined_summary_written_as_null(argv, mean, capsys, tmp_path):
     data = json.loads((tmp_path / "capture_sim.json").read_text(), parse_constant=_reject_constant)
     assert data["mean"] == mean
     assert data["stderr"] is None
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [("--jobs", "-3", "jobs must be at least 1"), ("--jobs", "0", "jobs must be at least 1"),
+     ("--dump-transcripts", "-1", "--dump-transcripts must be at least 0")],
+)
+def test_tournament_execution_options_range_checked(option, value, message, capsys, tmp_path):
+    # --jobs -3 used to run single-threaded; --dump-transcripts -1 wrote no games
+    code, _, err = run(["tournament", "--runs", "10", "--horizon", "5", option, value,
+                        "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_replay_jobs_range_checked(capsys, tmp_path):
+    code, _, _ = run(["tournament", "--runs", "10", "--horizon", "5", "--out-dir", str(tmp_path / "a")], capsys)
+    assert code == 0
+    code, _, err = run(["replay", str(tmp_path / "a" / "manifest.json"), "--jobs", "0",
+                        "--out-dir", str(tmp_path / "b")], capsys)
+    assert code == 1
+    assert "--jobs must be at least 1" in err
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["capture", "solve", "--n-max", "1028"],
+        ["capture", "converse", "--n-max", "1028"],
+        ["capture", "simulate", "--users", "1028"],
+    ],
+)
+def test_capture_solver_past_float_limit_exit_one(argv, capsys, tmp_path):
+    # n = 1030 used to end in an OverflowError traceback after every smaller stage
+    code, _, err = run(argv + ["--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert "1027" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_fixed_p_simulation_past_solver_limit_allowed(capsys, tmp_path):
+    code, _, err = run(["capture", "simulate", "--users", "1028", "--fixed-p", "0.001", "--episodes", "50",
+                        "--max-slots", "5", "--out-dir", str(tmp_path)], capsys)
+    assert code == 0, err
+    assert json.loads((tmp_path / "capture_sim.json").read_text())["users"] == 1028
