@@ -13,6 +13,12 @@ foreign-opponent shadow of a last-slot-override machine is folded into
 that table when it is compiled, so a slot is the same few lookups for
 every machine and the override is only which probability vector the final
 slot reads.
+
+A slot's outcome is one move k = 2 * xa + xb.  Each player's table is
+flattened once per call into a step table indexed by 4 * state + k, state
+ids kept times 4 (``_tables``), so a slot is, per player, one ``take`` for
+the transmit probability, one compare against the uniform and one ``take``
+for the successor.  No transition follows the final slot.
 """
 
 from __future__ import annotations
@@ -27,8 +33,10 @@ from .rng import DOMAIN_GAME, RngStream
 CHUNK_SIZE = 65_536
 # state ids are int16 with -1 for "no transition"
 _MAX_STATES = int(np.iinfo(np.int16).max) + 1
-# the (own action, feedback) pairs two players can produce
+# a slot's move k = 2 * xa + xb as each player sees it, (own action,
+# feedback); player a's list is also every pair a player can produce
 _MOVES = ((0, 0), (0, 1), (1, 1), (1, 2))
+_MOVES_B = ((0, 0), (1, 1), (0, 1), (1, 2))
 
 
 @dataclass(frozen=True)
@@ -37,7 +45,10 @@ class CompiledMachine:
 
     ``probs[s]`` is state s's transmit probability, ``last_probs[s]`` the
     one used on the final slot, and ``trans[s, a, f]`` the successor for
-    (own action a, feedback f), or -1 where no transition is defined.
+    (own action a, feedback f), or -1 where no transition is defined.  A
+    game may make such a move only on its final slot, which takes no
+    transition; a hand-built table that lets one happen earlier makes the
+    engine raise ``ValueError``.
 
     A plain machine's S states are its own and ``last_probs`` is ``probs``.
     A last-slot-override machine runs a shadow copy of itself on the
@@ -113,37 +124,44 @@ class GameBatch:
     first_success: np.ndarray
 
 
-def _play_chunk(
-    ma: CompiledMachine,
-    mb: CompiledMachine,
-    horizon: int,
-    n: int,
-    uniforms,
-) -> GameBatch:
-    """Run n games of ma vs mb.  ``uniforms(player, t)`` must return the n
-    uniform draws for that player and slot; it is called in slot order,
-    player 0 then player 1."""
-    sa = np.full(n, ma.start, dtype=np.int16)
-    sb = np.full(n, mb.start, dtype=np.int16)
-    score_a = np.zeros(n, dtype=np.int32)
-    score_b = np.zeros(n, dtype=np.int32)
-    first = np.zeros(n, dtype=np.int32)
-    for t in range(1, horizon + 1):
-        ua = uniforms(0, t)
-        ub = uniforms(1, t)
-        pa = (ma.last_probs if t == horizon else ma.probs)[sa]
-        pb = (mb.last_probs if t == horizon else mb.probs)[sb]
-        xa = (ua < pa).astype(np.int16)
-        xb = (ub < pb).astype(np.int16)
-        feedback = xa + xb
-        solo = feedback == 1
-        score_a += (solo & (xa == 1)).astype(np.int32)
-        score_b += (solo & (xb == 1)).astype(np.int32)
-        first = np.where(solo & (first == 0), t, first)
-        # successor states; -1 can only appear on the forced final slot
-        sa = ma.trans[sa, xa, feedback]
-        sb = mb.trans[sb, xb, feedback]
-    return GameBatch(score_a, score_b, first)
+def _tables(m: CompiledMachine, moves) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """One player's engine tables, state ids times 4: ``probs`` and
+    ``last_probs`` repeated 4 times, the step table and the start.
+    ``step[4 * s + k]`` is 4 times the successor of state s under the slot
+    move k = 2 * xa + xb, which this player sees as ``moves[k]`` = (own
+    action, feedback).  An undefined successor (-1) becomes 4N, past the
+    end of every table, so the next slot's ``take`` raises."""
+    actions, feedback = zip(*moves)
+    succ = m.trans[:, actions, feedback].astype(np.intp)
+    succ[succ < 0] = len(succ)
+    return np.repeat(m.probs, 4), np.repeat(m.last_probs, 4), (4 * succ).ravel(), 4 * m.start
+
+
+def _play_chunk(ta, tb, horizon: int, n: int, uniforms) -> GameBatch:
+    """Run n games between the players whose ``_tables`` are ta and tb.
+    ``uniforms(player, t)`` must return the n uniform draws for that player
+    and slot; it is called in slot order, player 0 then player 1."""
+    probs_a, last_a, step_a, start_a = ta
+    probs_b, last_b, step_b, start_b = tb
+    sa, sb = np.full(n, start_a, dtype=np.intp), np.full(n, start_b, dtype=np.intp)
+    score_a, score_b, lead = (np.zeros(n, dtype=np.int32) for _ in range(3))  # lead: slots before a solo success
+    try:
+        for t in range(1, horizon + 1):
+            final = t == horizon
+            xa = uniforms(0, t) < (last_a if final else probs_a).take(sa)
+            xb = uniforms(1, t) < (last_b if final else probs_b).take(sb)
+            move = 2 * xa.view(np.uint8)
+            move |= xb.view(np.uint8)
+            score_a += move == 2
+            score_b += move == 1
+            lead += (score_a | score_b) == 0
+            if not final:  # no transition after the final slot
+                sa = step_a.take(sa + move)
+                sb = step_b.take(sb + move)
+    except IndexError:
+        raise ValueError("no transition is defined for a reachable move") from None
+    # lead reaches the horizon only in games without a solo success
+    return GameBatch(score_a, score_b, np.where(lead < horizon, lead + 1, 0).astype(np.int32))
 
 
 def run_games(
@@ -161,10 +179,10 @@ def run_games(
     chunk index it determines every draw, so the same call always returns
     the same arrays no matter how many worker threads are in use.
     """
-    if horizon < 1 or runs < 0:
-        raise ValueError("horizon must be >= 1 and runs >= 0")
-    ma = compile_machine(machine_a)
-    mb = compile_machine(machine_b)
+    if not 1 <= horizon < 2**31 or runs < 0:  # GameBatch counts slots in int32
+        raise ValueError("horizon must be between 1 and 2**31 - 1 and runs >= 0")
+    ta = _tables(compile_machine(machine_a), _MOVES)
+    tb = _tables(compile_machine(machine_b), _MOVES_B)
     out = GameBatch(*(np.zeros(runs, dtype=np.int32) for _ in range(3)))
     for chunk, lo in enumerate(range(0, runs, CHUNK_SIZE)):
         hi = min(lo + CHUNK_SIZE, runs)
@@ -173,7 +191,7 @@ def run_games(
             RngStream(seed, (DOMAIN_GAME, pairing[0], pairing[1], chunk, player)).generator()
             for player in (0, 1)
         ]
-        batch = _play_chunk(ma, mb, horizon, n, lambda player, t: gens[player].random(n))
+        batch = _play_chunk(ta, tb, horizon, n, lambda player, t: gens[player].random(n))
         out.scores_a[lo:hi] = batch.scores_a
         out.scores_b[lo:hi] = batch.scores_b
         out.first_success[lo:hi] = batch.first_success
@@ -191,19 +209,12 @@ def run_games_with_uniforms(
     Exists so the batch engine can be driven with hand-picked or exhaustive
     draws and compared move-for-move against the scalar engine.
     """
-    ua = np.asarray(ua, dtype=np.float64)
-    ub = np.asarray(ub, dtype=np.float64)
+    ua, ub = (np.asarray(u, dtype=np.float64) for u in (ua, ub))
     if ua.shape != ub.shape or ua.ndim != 2:
         raise ValueError("uniform matrices must share a (runs, horizon) shape")
-    # outside [0, 1) a p=0 state could transmit or a p=1 state idle, into an
-    # undefined (-1) transition that silently indexes the last state
+    # outside [0, 1) a p=0 state could transmit or a p=1 state idle
     if not all(((u >= 0.0) & (u < 1.0)).all() for u in (ua, ub)):
         raise ValueError("uniforms must lie in [0, 1)")
     n, horizon = ua.shape
-    return _play_chunk(
-        compile_machine(machine_a),
-        compile_machine(machine_b),
-        horizon,
-        n,
-        lambda player, t: (ua if player == 0 else ub)[:, t - 1],
-    )
+    ta, tb = _tables(compile_machine(machine_a), _MOVES), _tables(compile_machine(machine_b), _MOVES_B)
+    return _play_chunk(ta, tb, horizon, n, lambda player, t: (ua if player == 0 else ub)[:, t - 1])

@@ -20,10 +20,11 @@ Each stage n screens the whole p-grid with one numpy evaluation of the
 objective, then runs the exact scalar ``capture_objective`` only at the
 grid points the screen cannot rule out and inside the golden-section
 polish: about 34 O(n) Python calls a stage instead of 1,032, so a table is
-O(n^2) Python work rather than O(n^3).  The screen only picks the points
-the scalar code visits, so every p_n and z_n is the scalar code's number
-(see ``optimize``).  On a 2-core host n = 100 takes about 0.25 s and
-n = 300 about 4.5 s.  The solver stops at ``MAX_USERS`` = 1027, the largest
+O(n^2) Python work rather than O(n^3).  The binomial weights are built once
+a stage (``_weights``) and shared by the screen and the scalar calls.  The
+screen only picks the points the scalar code visits, so every p_n and z_n
+is the scalar code's number (see ``optimize``).  On a 2-core host n = 100
+takes about 0.15 s and n = 300 about 1.4 s.  The solver stops at ``MAX_USERS`` = 1027, the largest
 n for which C(n, n // 2) * e is a finite float, so that every weight
 min(z_i, z_{n-i}) C(n, i) with z <= e is finite; larger n raises
 ``ValueError``.
@@ -82,12 +83,14 @@ class CaptureTable:
         return "\n".join(lines) + "\n"
 
 
-def capture_objective(n: int, p: float, z_prefix) -> float:
+def capture_objective(n: int, p: float, z_prefix, weights: list[float] | None = None) -> float:
     """Expected capture time for n users transmitting with probability p in
     the first slot and splitting optimally afterwards.
 
     ``z_prefix[i]`` must hold z_i for 1 <= i < n (index 0 is ignored).
-    Defined for 2 <= n <= MAX_USERS and 0 < p < 1.
+    ``weights``, if given, must be ``_weights(n, z_prefix)``; a caller
+    evaluating many p at one n builds it once.  Defined for
+    2 <= n <= MAX_USERS and 0 < p < 1.
     """
     if n < 2:
         raise ValueError("the objective needs at least two users")
@@ -95,11 +98,20 @@ def capture_objective(n: int, p: float, z_prefix) -> float:
         raise ValueError(f"the capture objective overflows float64 above n = {MAX_USERS}")
     if not 0.0 < p < 1.0:
         raise ValueError("p must be strictly inside (0, 1)")
+    if weights is None:
+        weights = _weights(n, z_prefix)
     q = 1.0 - p
     numer = 1.0
-    for i in range(2, n):
-        numer += min(z_prefix[i], z_prefix[n - i]) * math.comb(n, i) * p**i * q ** (n - i)
+    for i, w in enumerate(weights, start=2):
+        numer += w * p**i * q ** (n - i)
     return numer / (1.0 - p**n - q**n)
+
+
+def _weights(n: int, z_prefix) -> list[float]:
+    """min(z_i, z_{n-i}) C(n, i) for 2 <= i < n.  ``float * int`` rounds the
+    int to a double before multiplying, so w_i * p**i * q**(n-i) has the
+    bits of min(z_i, z_{n-i}) * C(n, i) * p**i * q**(n-i)."""
+    return [min(z_prefix[i], z_prefix[n - i]) * math.comb(n, i) for i in range(2, n)]
 
 
 def solve_capture_table(n_max: int, tol: float = 1e-9) -> CaptureTable:
@@ -115,25 +127,29 @@ def solve_capture_table(n_max: int, tol: float = 1e-9) -> CaptureTable:
     probs = [math.nan, 1.0]
     values = [math.nan, 1.0]
     for n in range(2, n_max + 1):
+        weights = _weights(n, values)
+        # weights go positionally: call-counting wrappers of
+        # capture_objective forward positional arguments only
         p, z = scan_then_golden(
-            lambda p: capture_objective(n, p, values), 0.001, 0.999, SCAN_POINTS, tol,
-            screen=_screen(n, values),
+            lambda p: capture_objective(n, p, values, weights), 0.001, 0.999, SCAN_POINTS, tol,
+            screen=_screen(n, weights),
         )
         probs.append(p)
         values.append(z)
     return CaptureTable(tuple(probs[: n_max + 1]), tuple(values[: n_max + 1]))
 
 
-def _screen(n: int, z_prefix) -> Callable[[np.ndarray], np.ndarray]:
-    """``capture_objective(n, ., z_prefix)`` over an array of p at once.
-    It agrees with the scalar sum to a few ulps (numpy sums pairwise and
-    its pow may round differently), far inside ``optimize.SCREEN_SLACK`` / 2."""
+def _screen(n: int, weights: list[float]) -> Callable[[np.ndarray], np.ndarray]:
+    """``capture_objective(n, ., z_prefix, weights)`` over an array of p at
+    once.  It agrees with the scalar sum to a few ulps (numpy sums pairwise
+    and its pow may round differently), far inside
+    ``optimize.SCREEN_SLACK`` / 2."""
     i = np.arange(2, n)
-    weights = np.array([min(z_prefix[k], z_prefix[n - k]) * math.comb(n, k) for k in range(2, n)])
+    w = np.array(weights, dtype=np.float64)
 
     def screen(p: np.ndarray) -> np.ndarray:
         q = 1.0 - p
-        terms = weights * p[:, None] ** i * q[:, None] ** (n - i)
+        terms = w * p[:, None] ** i * q[:, None] ** (n - i)
         return (1.0 + terms.sum(axis=1)) / (1.0 - p**n - q**n)
 
     return screen

@@ -1,9 +1,11 @@
 """The batch engine's single state table per machine: every builtin
 pairing's draws pinned exactly, move-for-move agreement with the scalar
-engine on random override machines, and the int16 limit on state ids."""
+engine on random override machines, the int16 limit on state ids and the
+failure on a hand-built table with a reachable undefined move."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slotmac import StateSpec, StrategyMachine, play_game, run_games, run_games_with_uniforms
-from slotmac.batch import compile_machine
+from slotmac.batch import CHUNK_SIZE, compile_machine
 from slotmac.strategies import BUILTIN_NAMES, builtin
 
 from conftest import ReplayStream, random_machine
@@ -87,6 +89,22 @@ PINNED_RANDOM = {
 }
 
 
+# the same digest of run_games(four_state_enhanced, tft1, 7, CHUNK_SIZE + 5,
+# seed=2024, pairing=(6, 3)): the second chunk has its own streams
+PINNED_TWO_CHUNKS = "9888b8659f2c6c518a8a"
+
+# (a, b) -> the same digest of run_games(a, b, 1, 3000, seed=2024,
+# pairing=(i, j)): only the final slot is played, with no transition after it
+PINNED_HORIZON_ONE = {
+    ("never", "never"): "d7967a6f7d2dd3204ed7",
+    ("never", "always"): "4ad7b4c0a0c02fca1a42",
+    ("always", "never"): "2d982e5fa10156aa191b",
+    ("always", "always"): "d7967a6f7d2dd3204ed7",
+    ("four_state", "four_state_enhanced"): "255659d3e7e82e79a6db",
+    ("four_state_enhanced", "four_state"): "a9c88b8cdd6a63ffd31f",
+}
+
+
 def _digest(batch) -> str:
     h = hashlib.sha256()
     for arr in (batch.scores_a, batch.scores_b, batch.first_success):
@@ -99,6 +117,18 @@ def test_builtin_pairing_draws_pinned(a, b):
     pairing = (BUILTIN_NAMES.index(a), BUILTIN_NAMES.index(b))
     batch = run_games(builtin(a), builtin(b), 9, 3000, seed=2024, pairing=pairing)
     assert _digest(batch) == PINNED_BUILTINS[(a, b)]
+
+
+def test_two_chunk_draws_pinned():
+    batch = run_games(builtin("four_state_enhanced"), builtin("tft1"), 7, CHUNK_SIZE + 5, seed=2024, pairing=(6, 3))
+    assert _digest(batch) == PINNED_TWO_CHUNKS
+
+
+@pytest.mark.parametrize("a, b", sorted(PINNED_HORIZON_ONE))
+def test_horizon_one_draws_pinned(a, b):
+    pairing = (BUILTIN_NAMES.index(a), BUILTIN_NAMES.index(b))
+    batch = run_games(builtin(a), builtin(b), 1, 3000, seed=2024, pairing=pairing)
+    assert _digest(batch) == PINNED_HORIZON_ONE[(a, b)]
 
 
 @pytest.mark.parametrize("seed", sorted(PINNED_RANDOM))
@@ -190,3 +220,54 @@ def test_tables_past_int16_rejected(n_states, override):
     # numpy 1.x would wrap such ids silently instead of raising
     with pytest.raises(ValueError, match="int16"):
         compile_machine(_cycle(n_states, override))
+
+
+def _broken_four_state():
+    # a hand-built table whose idle-and-hear-nothing move from the start
+    # state leads nowhere; compile_machine's validation never sees it
+    compiled = compile_machine(builtin("four_state"))
+    trans = compiled.trans.copy()
+    trans[compiled.start, 0, 0] = -1
+    return dataclasses.replace(compiled, trans=trans)
+
+
+@pytest.mark.parametrize("seat", ["a", "b"])
+def test_reachable_undefined_transition_raises(seat):
+    # both idle on slot 1 in about a quarter of the games
+    broken, other = _broken_four_state(), builtin("four_state")
+    pair = (broken, other) if seat == "a" else (other, broken)
+    with pytest.raises(ValueError, match="no transition"):
+        run_games(*pair, 2, 200, seed=0)
+    idle = np.full((1, 2), 0.9)
+    with pytest.raises(ValueError, match="no transition"):
+        run_games_with_uniforms(*pair, idle, idle)
+
+
+def test_unreached_undefined_transition_plays():
+    broken, other = _broken_four_state(), builtin("four_state")
+    reference = run_games_with_uniforms(other, other, [[0.1, 0.9]], [[0.9, 0.9]])
+    batch = run_games_with_uniforms(broken, other, [[0.1, 0.9]], [[0.9, 0.9]])
+    assert (batch.scores_a, batch.scores_b) == (reference.scores_a, reference.scores_b)
+    # the undefined move on the final slot is never followed
+    batch = run_games_with_uniforms(broken, other, [[0.9]], [[0.9]])
+    assert batch.scores_a[0] == batch.scores_b[0] == batch.first_success[0] == 0
+
+
+def test_override_with_undefined_move_on_the_final_slot_plays():
+    # never with the override: tft1's opening transmit exposes it as
+    # foreign, so on the final slot it transmits from a state that defines
+    # no transmit transition
+    grab = StrategyMachine("grab", "off", builtin("never").states, last_slot_override=True)
+    assert (compile_machine(grab).trans[:, 1] == -1).all()
+    batch = run_games(grab, builtin("tft1"), 5, 100, seed=1)
+    assert (batch.scores_a == 1).all() and (batch.scores_b == 1).all()
+    assert (batch.first_success == 1).all()
+    ua = ub = np.full((1, 5), 0.5)
+    t = play_game(grab, builtin("tft1"), 5, ReplayStream(ua[0]), ReplayStream(ub[0]))
+    batch = run_games_with_uniforms(grab, builtin("tft1"), ua, ub)
+    assert t.scores == (batch.scores_a[0], batch.scores_b[0]) == (1, 1)
+
+
+def test_horizon_past_int32_rejected():
+    with pytest.raises(ValueError, match="horizon"):
+        run_games(builtin("never"), builtin("never"), 2**31, 1, seed=0)

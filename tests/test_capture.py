@@ -96,6 +96,21 @@ def test_screened_solver_matches_scalar_scan():
     assert repr(solve_capture_table(60)) == repr(scalar_capture_table(60))
 
 
+def test_objective_weights_change_no_bits(capture_table):
+    # the per-stage weight list the solver builds once gives the bits the
+    # objective computes from math.comb term by term
+    rng = np.random.default_rng(8)
+    z = list(capture_table.values) + [math.e] * 300
+    for n in (2, 3, 7, 40, 150, 300):
+        weights = capture._weights(n, z)
+        for p in rng.uniform(0.001, 0.999, 10).tolist():
+            expected = 1.0
+            for i in range(2, n):
+                expected += min(z[i], z[n - i]) * math.comb(n, i) * p**i * (1.0 - p) ** (n - i)
+            expected /= 1.0 - p**n - (1.0 - p) ** n
+            assert capture_objective(n, p, z, weights) == capture_objective(n, p, z) == expected
+
+
 def test_solver_digest_n100():
     # recorded from the full scalar scan
     table = solve_capture_table(100)
