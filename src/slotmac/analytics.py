@@ -23,28 +23,18 @@ score over all 2^(2T) of them exactly, in time polynomial in T.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 
 # run_games_with_uniforms is unused here; perfbench's traced pass patches it by this name
 from .batch import CompiledMachine, compile_machine, run_games_with_uniforms  # noqa: F401
 from .dsl import StrategyMachine
-
-
-def _check_horizon(horizon: int) -> int:
-    try:
-        T = operator.index(horizon)
-    except TypeError:
-        T = 0  # not an integer: rejected below
-    if isinstance(horizon, bool) or T < 1:
-        raise ValueError("horizon must be a positive integer")
-    return T
+from .game import check_horizon
 
 
 def first_success_pmf(horizon: int) -> tuple[Fraction, ...]:
     """Distribution of Y, the number of slots before the first solo
     success; index i is P[Y = i], i = 0..horizon."""
-    T = _check_horizon(horizon)
+    T = check_horizon(horizon)
     pmf = [Fraction(1, 2 ** (i + 1)) for i in range(T)]
     pmf.append(Fraction(1, 2**T))
     return tuple(pmf)
@@ -52,14 +42,14 @@ def first_success_pmf(horizon: int) -> tuple[Fraction, ...]:
 
 def expected_y(horizon: int) -> Fraction:
     """E[Y] = 1 - 2^-T: the coin-flip phase costs just under one slot."""
-    T = _check_horizon(horizon)
+    T = check_horizon(horizon)
     return 1 - Fraction(1, 2**T)
 
 
 def alpha_optimal(horizon: int) -> Fraction:
     """Per-player self-play value of the duel machines:
     (T-1)/2 + 2^-(T+1).  This is the best symmetric machines can do."""
-    T = _check_horizon(horizon)
+    T = check_horizon(horizon)
     return Fraction(T - 1, 2) + Fraction(1, 2 ** (T + 1))
 
 
@@ -70,7 +60,7 @@ def beta4(horizon: int) -> Fraction:
     first success, then streaming; the 3 * 2^-T corrects the edge cases
     where the coin phase runs into the end of the game.
     """
-    T = _check_horizon(horizon)
+    T = check_horizon(horizon)
     return T - 2 + Fraction(3, 2**T)
 
 
@@ -82,7 +72,7 @@ def beta3(horizon: int) -> Fraction:
     to T/2 - 1/3 + (1/3) 2^-T for even T and T/2 - 1/6 + (1/3) 2^-T for
     odd T (the parity of the remaining slots shifts the rounding).
     """
-    T = _check_horizon(horizon)
+    T = check_horizon(horizon)
     correction = Fraction(1, 3) if T % 2 == 0 else Fraction(1, 6)
     return Fraction(T, 2) - correction + Fraction(1, 3 * 2**T)
 
@@ -102,7 +92,7 @@ def exact_self_play_alpha(
     O(T * S^2 * 4) big-integer steps for S states.  No final-slot override
     applies, since a copy is never foreign.
     """
-    T = _check_horizon(horizon)
+    T = check_horizon(horizon)
     compiled = compile_machine(machine)
     halves = {0.0: (2, 0), 0.5: (1, 1), 1.0: (0, 2)}
     try:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsl import StrategyMachine, StrategyParseError, validate_machine
+from .game import check_horizon
 from .rng import DOMAIN_GAME, RngStream
 
 CHUNK_SIZE = 65_536
@@ -179,8 +180,9 @@ def run_games(
     chunk index it determines every draw, so the same call always returns
     the same arrays no matter how many worker threads are in use.
     """
-    if not 1 <= horizon < 2**31 or runs < 0:  # GameBatch counts slots in int32
-        raise ValueError("horizon must be between 1 and 2**31 - 1 and runs >= 0")
+    horizon = check_horizon(horizon)
+    if horizon >= 2**31 or runs < 0:  # GameBatch counts slots in int32
+        raise ValueError("horizon must be below 2**31 and runs >= 0")
     ta = _tables(compile_machine(machine_a), _MOVES)
     tb = _tables(compile_machine(machine_b), _MOVES_B)
     out = GameBatch(*(np.zeros(runs, dtype=np.int32) for _ in range(3)))
@@ -212,8 +214,9 @@ def run_games_with_uniforms(
     ua, ub = (np.asarray(u, dtype=np.float64) for u in (ua, ub))
     if ua.shape != ub.shape or ua.ndim != 2:
         raise ValueError("uniform matrices must share a (runs, horizon) shape")
-    # outside [0, 1) a p=0 state could transmit or a p=1 state idle
-    if not all(((u >= 0.0) & (u < 1.0)).all() for u in (ua, ub)):
+    # outside [0, 1) a p=0 state could transmit or a p=1 state idle; a NaN
+    # makes min and max NaN, which fails the compare
+    if any(u.size and not (0.0 <= u.min() and u.max() < 1.0) for u in (ua, ub)):
         raise ValueError("uniforms must lie in [0, 1)")
     n, horizon = ua.shape
     ta, tb = _tables(compile_machine(machine_a), _MOVES), _tables(compile_machine(machine_b), _MOVES_B)

@@ -59,6 +59,8 @@ from .rng import DOMAIN_CAPTURE, DOMAIN_MISC, RngStream
 SCAN_POINTS = 999  # dense scan over p in {0.001, ..., 0.999}
 MAX_USERS = 1027  # largest n with C(n, n // 2) * e finite in float64
 CHUNK_SIZE = 65_536  # episodes per simulation chunk, each with its own stream
+RELAXATION_GRID = 401  # points per axis of each zoom of the three-user relaxation scan
+RELAXATION_ZOOMS = 8
 
 
 @dataclass(frozen=True)
@@ -341,22 +343,22 @@ def _relaxation_feasible(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return (a >= 0) & (c >= 0) & (b >= 0) & (a**3 + b**3 + c**3 <= 0.75)
 
 
-def minimize_three_user_relaxation(grid: int = 401, zooms: int = 8) -> tuple[float, float, float]:
+def minimize_three_user_relaxation() -> tuple[float, float, float]:
     """Infimum of the relaxation over its feasible set, by grid scan and
     repeated zooming.  Returns (a, c, value)."""
     lo_a, hi_a, lo_c, hi_c = 0.0, 1.0, 0.0, 1.0
     best = (math.nan, math.nan, math.inf)
-    for _ in range(zooms):
-        a = np.linspace(lo_a, hi_a, grid)
-        c = np.linspace(lo_c, hi_c, grid)
+    for _ in range(RELAXATION_ZOOMS):
+        a = np.linspace(lo_a, hi_a, RELAXATION_GRID)
+        c = np.linspace(lo_c, hi_c, RELAXATION_GRID)
         A, C = np.meshgrid(a, c, indexing="ij")
         with np.errstate(divide="ignore", invalid="ignore"):
             value = np.where(_relaxation_feasible(A, C), three_user_relaxation(A, C), math.inf)
         i, j = np.unravel_index(np.argmin(value), value.shape)
         if value[i, j] < best[2]:
             best = (float(A[i, j]), float(C[i, j]), float(value[i, j]))
-        span_a = (hi_a - lo_a) / (grid - 1)
-        span_c = (hi_c - lo_c) / (grid - 1)
+        span_a = (hi_a - lo_a) / (RELAXATION_GRID - 1)
+        span_c = (hi_c - lo_c) / (RELAXATION_GRID - 1)
         lo_a, hi_a = max(0.0, best[0] - span_a), min(1.0, best[0] + span_a)
         lo_c, hi_c = max(0.0, best[1] - span_c), min(1.0, best[1] + span_c)
     return best

@@ -40,7 +40,7 @@ from .multichannel import (
     two_user_capture_time,
 )
 from .rng import DOMAIN_MISC, RngStream
-from .strategies import BUILTIN_NAMES, DEFAULT_LINEUP, builtin, load_strategy_dir
+from .strategies import DEFAULT_LINEUP, corpus_dir, load_strategy_dir
 from .tournament import TournamentConfig, merit_report, run_tournament
 
 MANIFEST_NAME = "manifest.json"
@@ -65,10 +65,7 @@ def _exec_tournament(opts: dict) -> CommandResult:
     dump = opts.get("dump_transcripts", 0)
     if dump < 0:
         raise ValueError(f"--dump-transcripts must be at least 0, got {dump}")
-    if opts.get("strategy_dir"):
-        machines = load_strategy_dir(opts["strategy_dir"])
-    else:
-        machines = {name: builtin(name) for name in BUILTIN_NAMES}
+    machines = load_strategy_dir(opts.get("strategy_dir") or corpus_dir())
     names = opts["entrants"]
     missing = [n for n in names if n not in machines]
     if missing:

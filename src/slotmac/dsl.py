@@ -358,8 +358,9 @@ def validate_machine(machine: StrategyMachine) -> list[Diagnostic]:
     for sid in machine.states:
         if sid not in reached:
             diags.append(Diagnostic("warning", f"state {sid!r} is unreachable from the start state", state=sid))
-    for sid in reached:
-        spec = machine.states[sid]
+    for sid, spec in machine.states.items():
+        if sid not in reached:
+            continue
         for action in _possible_actions(spec.transmit_prob):
             for fb in _feasible_feedback(action):
                 if (action, fb) not in spec.transitions:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 import math
+import operator
 
 from .dsl import IDLE, TRANSMIT, StrategyMachine, StrategyParseError, validate_machine
 from .rng import RngStream
@@ -34,6 +35,18 @@ import numpy as np
 # transmitters in the slot.  Plain ints, validated where they are produced.
 Decision = int
 Feedback = int
+
+
+def check_horizon(horizon: int) -> int:
+    """The horizon as a plain int; raises ValueError unless it is a
+    positive integer (numpy integers included, bools excluded)."""
+    try:
+        T = operator.index(horizon)
+    except TypeError:
+        T = 0  # not an integer: rejected below
+    if isinstance(horizon, bool) or T < 1:
+        raise ValueError("horizon must be a positive integer")
+    return T
 
 
 @dataclass(frozen=True)
@@ -175,8 +188,7 @@ def play_game(
     StrategyMachine or any object implementing the Strategy protocol; the
     two players' randomness comes from the two (independent) streams.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+    horizon = check_horizon(horizon)
     session_a = _open_session(strategy_a, rng_a, horizon)
     session_b = _open_session(strategy_b, rng_b, horizon)
     records: list[SlotRecord] = []

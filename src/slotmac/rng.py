@@ -39,10 +39,6 @@ class RngStream:
         if any(s < 0 for s in self.stream):
             raise ValueError("stream id components must be non-negative")
 
-    def child(self, *extra: int) -> "RngStream":
-        """Derive a sub-stream by appending components to the stream id."""
-        return RngStream(self.seed, self.stream + tuple(extra))
-
     def generator(self) -> np.random.Generator:
         """A fresh generator positioned at the start of this stream.
 

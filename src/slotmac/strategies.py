@@ -1,5 +1,10 @@
 """Built-in strategies for the two-player slotted channel game.
 
+Each builtin is defined once, as the ``.strat`` file of its name in the
+bundled corpus (``corpus_dir()``), the same format a contestant submits;
+``builtin(name)`` parses that file on first use.  ``BUILTIN_NAMES`` lists
+the builtins and must match the corpus's file stems.
+
 The two championship machines share a design: flip a fair coin until
 somebody gets through alone, then alternate turns forever, using the
 feedback to agree on whose turn it is without ever exchanging identities.
@@ -23,73 +28,15 @@ feedback), starting with idle and transmit respectively.  ``always`` and
 
 from __future__ import annotations
 
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
-from .dsl import IDLE, TRANSMIT, StateSpec, StrategyMachine, parse_strategy, reachable_states
+from .dsl import StrategyMachine, parse_strategy, reachable_states
 
-T, I = TRANSMIT, IDLE
-
-
-def _coin_flip_state() -> StateSpec:
-    # fair coin; a solo success hands the turn over, a solo failure means
-    # the opponent scored so it is our turn next
-    return StateSpec(0.5, {(T, 1): "2", (T, 2): "1", (I, 0): "1", (I, 1): "3"})
-
-
-_THREE_STATE = StrategyMachine(
-    name="three_state",
-    start="1",
-    states={
-        "1": _coin_flip_state(),
-        # just scored: yield for one slot
-        "2": StateSpec(0.0, {(I, 0): "3", (I, 1): "3"}),
-        # our turn: transmit until it gets through
-        "3": StateSpec(1.0, {(T, 1): "2", (T, 2): "3"}),
-    },
+BUILTIN_NAMES: tuple[str, ...] = (
+    "never", "always", "tft0", "tft1", "three_state", "four_state", "four_state_enhanced",
 )
-
-_FOUR_STATE = StrategyMachine(
-    name="four_state",
-    start="1",
-    states={
-        "1": _coin_flip_state(),
-        # just scored: yield once; a silent slot means nobody is alternating
-        # with us, so grab the channel instead of yielding forever
-        "2": StateSpec(0.0, {(I, 0): "4", (I, 1): "3"}),
-        "3": StateSpec(1.0, {(T, 1): "2", (T, 2): "3"}),
-        # hold the channel; only a collision makes us offer the turn back
-        "4": StateSpec(1.0, {(T, 1): "4", (T, 2): "2"}),
-    },
-)
-
-_FOUR_STATE_ENHANCED = StrategyMachine(
-    name="four_state_enhanced",
-    start=_FOUR_STATE.start,
-    states=_FOUR_STATE.states,
-    last_slot_override=True,
-)
-
-
-def _echo_states() -> dict[str, StateSpec]:
-    # state id is the opponent's last inferred action
-    return {
-        "0": StateSpec(0.0, {(I, 0): "0", (I, 1): "1"}),
-        "1": StateSpec(1.0, {(T, 1): "0", (T, 2): "1"}),
-    }
-
-
-_BUILTINS: dict[str, StrategyMachine] = {
-    "never": StrategyMachine("never", "off", {"off": StateSpec(0.0, {(I, 0): "off", (I, 1): "off"})}),
-    "always": StrategyMachine("always", "on", {"on": StateSpec(1.0, {(T, 1): "on", (T, 2): "on"})}),
-    "tft0": StrategyMachine("tft0", "0", _echo_states()),
-    "tft1": StrategyMachine("tft1", "1", _echo_states()),
-    "three_state": _THREE_STATE,
-    "four_state": _FOUR_STATE,
-    "four_state_enhanced": _FOUR_STATE_ENHANCED,
-}
-
-BUILTIN_NAMES: tuple[str, ...] = tuple(_BUILTINS)
 
 # tournament lineup in the customary reporting order
 DEFAULT_LINEUP: tuple[str, ...] = (
@@ -102,12 +49,13 @@ DEFAULT_LINEUP: tuple[str, ...] = (
 )
 
 
+@cache
 def builtin(name: str) -> StrategyMachine:
-    """Look up a built-in machine by name.  See BUILTIN_NAMES."""
-    try:
-        return _BUILTINS[name]
-    except KeyError:
-        raise KeyError(f"unknown builtin strategy {name!r}; choose from {', '.join(BUILTIN_NAMES)}") from None
+    """Look up a built-in machine by name.  See BUILTIN_NAMES.  Repeat
+    calls return the same object."""
+    if name not in BUILTIN_NAMES:
+        raise KeyError(f"unknown builtin strategy {name!r}; choose from {', '.join(BUILTIN_NAMES)}")
+    return load_strategy_file(corpus_dir() / f"{name}.strat")
 
 
 def never_transmits(machine: StrategyMachine) -> bool:

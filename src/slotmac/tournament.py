@@ -25,6 +25,7 @@ import numpy as np
 
 from .batch import compile_machine, run_games
 from .dsl import StrategyMachine
+from .game import check_horizon
 from .strategies import never_transmits
 
 
@@ -41,8 +42,10 @@ class TournamentConfig:
             raise ValueError("entrant names must be unique")
         if len(names) == 0:
             raise ValueError("need at least one entrant")
-        if self.horizon < 1 or self.runs < 1:
-            raise ValueError("horizon and runs must be positive")
+        # stored as a plain int: a numpy integer would not serialize to JSON
+        object.__setattr__(self, "horizon", check_horizon(self.horizon))
+        if self.runs < 1:
+            raise ValueError("runs must be positive")
 
     @classmethod
     def from_machines(cls, machines: dict[str, StrategyMachine], **kwargs) -> "TournamentConfig":

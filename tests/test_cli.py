@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import filecmp
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import slotmac
 from slotmac import alpha_optimal, beta3, beta4, builtin, expected_y
 from slotmac.cli import main
 from slotmac.dsl import machine_source
-from slotmac.strategies import corpus_dir
+from slotmac.strategies import DEFAULT_LINEUP, corpus_dir
 
 
 def run(argv, capsys):
@@ -48,6 +53,30 @@ def test_validate_bad_file(capsys, tmp_path):
     assert code == 1
     assert "outside [0, 1]" in out
     assert "broken.strat:3:18: error" in out
+
+
+def test_validate_output_independent_of_hash_seed(tmp_path):
+    # eight missing transitions over three reachable states, reported in
+    # declaration order whatever PYTHONHASHSEED is
+    gaps = tmp_path / "gaps.strat"
+    gaps.write_text(
+        "machine gaps\nstart a\n"
+        "state a transmit 0.5\n  on T f=1 -> b\n  on I f=1 -> c\nend\n"
+        "state b transmit 0.5\n  on T f=2 -> c\nend\n"
+        "state c transmit 0.5\n  on I f=0 -> a\nend\n"
+    )
+    src = str(Path(slotmac.__file__).parents[1])
+    outputs = set()
+    for hash_seed in range(1, 7):
+        env = {**os.environ, "PYTHONHASHSEED": str(hash_seed), "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "slotmac.cli", "validate", str(gaps)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        outputs.add(proc.stdout)
+    (out,) = outputs
+    assert out.count("is missing its transition") == 8
 
 
 def test_validate_missing_file(capsys, tmp_path):
@@ -318,6 +347,20 @@ def test_tournament_enters_any_builtin(capsys, tmp_path):
     assert code == 0, err
     merit = json.loads((tmp_path / "merit.json").read_text())
     assert [r["name"] for r in merit["entrants"]] == ["four_state", "four_state_enhanced", "never"]
+
+
+def test_tournament_same_bytes_with_and_without_strategy_dir(capsys, tmp_path):
+    # the builtins are the bundled corpus, so naming it changes only the
+    # manifest's strategy_dir
+    argv = ["tournament", "--entrants", ",".join(DEFAULT_LINEUP + ("four_state_enhanced",)),
+            "--horizon", "20", "--runs", "500", "--seed", "5", "--dump-transcripts", "1"]
+    plain, named = tmp_path / "plain", tmp_path / "named"
+    assert run(argv + ["--out-dir", str(plain)], capsys)[0] == 0
+    assert run(argv + ["--strategy-dir", str(corpus_dir()), "--out-dir", str(named)], capsys)[0] == 0
+    names = ["score_matrix.csv", "merit.json", "transcripts.json"]
+    match, mismatch, errors = filecmp.cmpfiles(plain, named, names, shallow=False)
+    assert match == names
+    assert json.loads((plain / "manifest.json").read_text())["options"]["strategy_dir"] is None
 
 
 def _reject_constant(name):

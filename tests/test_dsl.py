@@ -49,8 +49,8 @@ def test_parse_basic():
 
 
 def test_corpus_matches_builtins():
-    # every builtin ships as a source file that parses to exactly the
-    # programmatic definition
+    # the corpus is the builtins' only definition: one file per name, and
+    # builtin() returns exactly what the file parses to
     files = {f.stem: f for f in corpus_dir().glob("*.strat")}
     assert set(files) == set(BUILTIN_NAMES)
     for name in BUILTIN_NAMES:

@@ -8,10 +8,14 @@ import pytest
 from slotmac import (
     RngStream,
     StrategyParseError,
+    TournamentConfig,
     builtin,
+    merit_report,
     play_capture_episode,
     play_game,
+    run_games,
     run_games_with_uniforms,
+    run_tournament,
 )
 from slotmac.capture import FixedProbabilityPolicy
 from slotmac.dsl import StateSpec, StrategyMachine
@@ -139,6 +143,40 @@ def test_vectorized_rejects_out_of_range_uniforms(bad):
             run_games_with_uniforms(builtin("always"), builtin("always"), ua, ub)
     batch = run_games_with_uniforms(builtin("always"), builtin("always"), ok, np.zeros((1, 3)))
     assert (batch.scores_a, batch.scores_b) == (0, 0)
+
+
+def test_vectorized_accepts_empty_uniforms():
+    # no games: the range check has no min or max to read
+    empty = np.zeros((0, 4))
+    batch = run_games_with_uniforms(builtin("four_state"), builtin("tft1"), empty, empty)
+    assert batch.scores_a.shape == batch.scores_b.shape == batch.first_success.shape == (0,)
+
+
+def _tournament_horizon(horizon):
+    config = TournamentConfig.from_machines(
+        {"a": builtin("four_state"), "b": builtin("never")}, horizon=horizon, runs=50, seed=1
+    )
+    matrix = run_tournament(config)
+    return matrix.to_csv() + merit_report(matrix, config).to_json()
+
+
+HORIZON_ENTRY_POINTS = {
+    "play_game": lambda T: play_game(builtin("four_state"), builtin("tft1"), T, *_streams()).scores,
+    "run_games": lambda T: run_games(builtin("four_state"), builtin("tft1"), T, 50, seed=1).scores_a.tolist(),
+    "tournament": _tournament_horizon,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(HORIZON_ENTRY_POINTS))
+def test_one_horizon_rule(entry):
+    # the rule of the analytics closed forms: numpy integers are horizons;
+    # bools, floats, None and 0 are not
+    fn = HORIZON_ENTRY_POINTS[entry]
+    assert fn(np.int64(5)) == fn(5)
+    assert fn(np.uint8(3)) == fn(3)
+    for bad in (True, False, np.bool_(True), 2.0, 2.5, None, 0, -1):
+        with pytest.raises(ValueError, match="horizon"):
+            fn(bad)
 
 
 def test_invalid_machine_rejected_before_play():

@@ -209,6 +209,11 @@ def test_never_transmits_detection():
     assert never_transmits(renamed)
 
 
+def test_builtin_is_parsed_once():
+    for name in BUILTIN_NAMES:
+        assert builtin(name) is builtin(name)
+
+
 def test_default_lineup_names_resolve():
     assert len(DEFAULT_LINEUP) == 6
     for name in DEFAULT_LINEUP:
