@@ -4,9 +4,13 @@ Runs the same slot loop as the scalar engine, but across a whole batch of
 games at once with numpy.  Games are processed in fixed-size chunks and
 every chunk draws from a stream named by (master seed, pairing, chunk
 index, player), so results are byte-identical however the chunks are
-scheduled across threads.  Like the scalar engine, each player consumes
-exactly one uniform per slot per game regardless of its transmit
-probability, which keeps draw sequences aligned between implementations.
+scheduled across threads.  A player transmits when its uniform u is below
+its state's probability p, and u lies in [0, 1), so only a p strictly
+between 0 and 1 reads u.  A player whose every probability is 0 or 1 (a
+deterministic player) therefore gets no stream and draws nothing, and when
+both players are deterministic every game is the same game, played once.
+Any other player draws one uniform per slot per game, so no draw that a
+game reads moves.  The scalar engine still draws every slot.
 
 Every machine plays from one state table (``CompiledMachine``).  The
 foreign-opponent shadow of a last-slot-override machine is folded into
@@ -138,10 +142,18 @@ def _tables(m: CompiledMachine, moves) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return np.repeat(m.probs, 4), np.repeat(m.last_probs, 4), (4 * succ).ravel(), 4 * m.start
 
 
+def _deterministic(m: CompiledMachine) -> bool:
+    """Whether every probability m can play, final slot included, is
+    exactly 0 or 1, so that no uniform can change its move."""
+    p = np.concatenate((m.probs, m.last_probs))
+    return bool(((p == 0.0) | (p == 1.0)).all())
+
+
 def _play_chunk(ta, tb, horizon: int, n: int, uniforms) -> GameBatch:
     """Run n games between the players whose ``_tables`` are ta and tb.
     ``uniforms(player, t)`` must return the n uniform draws for that player
-    and slot; it is called in slot order, player 0 then player 1."""
+    and slot, or one float every game shares; it is called in slot order,
+    player 0 then player 1."""
     probs_a, last_a, step_a, start_a = ta
     probs_b, last_b, step_b, start_b = tb
     sa, sb = np.full(n, start_a, dtype=np.intp), np.full(n, start_b, dtype=np.intp)
@@ -183,17 +195,23 @@ def run_games(
     horizon = check_horizon(horizon)
     if horizon >= 2**31 or runs < 0:  # GameBatch counts slots in int32
         raise ValueError("horizon must be below 2**31 and runs >= 0")
-    ta = _tables(compile_machine(machine_a), _MOVES)
-    tb = _tables(compile_machine(machine_b), _MOVES_B)
+    ca, cb = compile_machine(machine_a), compile_machine(machine_b)
+    ta, tb = _tables(ca, _MOVES), _tables(cb, _MOVES_B)
+    # a deterministic player's stream has no other reader, so skipping it
+    # moves no other draw; 0.0 < p is the move any u in [0, 1) gives it
+    drawn = [player for player, m in enumerate((ca, cb)) if not _deterministic(m)]
+    if not drawn and runs:  # every game is the same game
+        game = _play_chunk(ta, tb, horizon, 1, lambda player, t: 0.0)
+        return GameBatch(*(a.repeat(runs) for a in (game.scores_a, game.scores_b, game.first_success)))
     out = GameBatch(*(np.zeros(runs, dtype=np.int32) for _ in range(3)))
     for chunk, lo in enumerate(range(0, runs, CHUNK_SIZE)):
         hi = min(lo + CHUNK_SIZE, runs)
         n = hi - lo
-        gens = [
-            RngStream(seed, (DOMAIN_GAME, pairing[0], pairing[1], chunk, player)).generator()
-            for player in (0, 1)
-        ]
-        batch = _play_chunk(ta, tb, horizon, n, lambda player, t: gens[player].random(n))
+        gens = {
+            player: RngStream(seed, (DOMAIN_GAME, pairing[0], pairing[1], chunk, player)).generator()
+            for player in drawn
+        }
+        batch = _play_chunk(ta, tb, horizon, n, lambda player, t: gens[player].random(n) if player in gens else 0.0)
         out.scores_a[lo:hi] = batch.scores_a
         out.scores_b[lo:hi] = batch.scores_b
         out.first_success[lo:hi] = batch.first_success
@@ -219,5 +237,6 @@ def run_games_with_uniforms(
     if any(u.size and not (0.0 <= u.min() and u.max() < 1.0) for u in (ua, ub)):
         raise ValueError("uniforms must lie in [0, 1)")
     n, horizon = ua.shape
+    check_horizon(horizon)
     ta, tb = _tables(compile_machine(machine_a), _MOVES), _tables(compile_machine(machine_b), _MOVES_B)
     return _play_chunk(ta, tb, horizon, n, lambda player, t: (ua if player == 0 else ub)[:, t - 1])

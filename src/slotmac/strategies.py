@@ -75,9 +75,13 @@ def load_strategy_file(path: str | Path) -> StrategyMachine:
 
 def load_strategy_dir(path: str | Path) -> dict[str, StrategyMachine]:
     """Parse every .strat file in a directory, keyed by declared machine
-    name, in sorted filename order."""
+    name, in sorted filename order.  Raises ValueError naming the directory
+    when it is missing or holds no .strat file."""
+    files = sorted(Path(path).glob("*.strat"))
+    if not files:
+        raise ValueError(f"no .strat file in strategy directory {path}")
     machines: dict[str, StrategyMachine] = {}
-    for file in sorted(Path(path).glob("*.strat")):
+    for file in files:
         machine = load_strategy_file(file)
         if machine.name in machines:
             raise ValueError(f"duplicate machine name {machine.name!r} in {file}")

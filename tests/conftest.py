@@ -16,10 +16,11 @@ import numpy as np
 import pytest
 
 from slotmac import StrategyMachine, capture_objective, solve_capture_table
-from slotmac.batch import CompiledMachine, compile_machine, run_games_with_uniforms
+from slotmac.batch import CHUNK_SIZE, CompiledMachine, GameBatch, compile_machine, run_games_with_uniforms
 from slotmac.capture import SCAN_POINTS, CaptureTable
 from slotmac.dsl import StateSpec
 from slotmac.optimize import golden_section
+from slotmac.rng import DOMAIN_GAME, RngStream
 
 
 @pytest.fixture(scope="session")
@@ -95,6 +96,23 @@ def enumerate_self_play_alpha(
     return Fraction(total_score, 2 * total_games)
 
 
+def full_draw_run_games(machine_a, machine_b, horizon: int, runs: int, seed: int, pairing=(0, 0)) -> GameBatch:
+    """``run_games`` as if every player drew one uniform per slot and game:
+    each chunk draws both players' whole (horizon, n) block from the stream
+    ``run_games`` names, then hands it to ``run_games_with_uniforms``."""
+    out = GameBatch(*(np.zeros(runs, dtype=np.int32) for _ in range(3)))
+    for chunk, lo in enumerate(range(0, runs, CHUNK_SIZE)):
+        n = min(CHUNK_SIZE, runs - lo)
+        ua, ub = (
+            RngStream(seed, (DOMAIN_GAME, pairing[0], pairing[1], chunk, player)).generator().random((horizon, n))
+            for player in (0, 1)
+        )
+        part = run_games_with_uniforms(machine_a, machine_b, ua.T, ub.T)
+        for field in ("scores_a", "scores_b", "first_success"):
+            getattr(out, field)[lo:lo + n] = getattr(part, field)
+    return out
+
+
 def scalar_scan_then_golden(f, lo: float, hi: float, points: int, tol: float = 1e-12) -> tuple[float, float]:
     """Evaluate f on an inclusive uniform grid, then refine the minimum by
     golden-section search on the bracket around the best grid point."""
@@ -138,10 +156,10 @@ def random_machine(
 ) -> StrategyMachine:
     """A structurally valid machine with random transitions.  Transitions
     are defined exactly for the (action, feedback) pairs the transmit
-    probability allows, so validation always passes.  ``half`` draws every
-    transmit probability from {0, 1/2, 1}; ``override`` turns on the
-    final-slot grab against foreign opponents.  The start state is drawn
-    last, from all the states."""
+    probability allows, so validation always passes.  ``deterministic``
+    draws every transmit probability from {0, 1} and ``half`` from
+    {0, 1/2, 1}; ``override`` turns on the final-slot grab against foreign
+    opponents.  The start state is drawn last, from all the states."""
     count = int(n_states if n_states is not None else rng.integers(1, 7))
     ids = [str(i) for i in range(1, count + 1)]
     states = {}

@@ -1,7 +1,9 @@
 """The batch engine's single state table per machine: every builtin
 pairing's draws pinned exactly, move-for-move agreement with the scalar
 engine on random override machines, the int16 limit on state ids and the
-failure on a hand-built table with a reachable undefined move."""
+failure on a hand-built table with a reachable undefined move.  A player
+whose every probability is 0 or 1 draws nothing and two such players play
+one game; the results still equal those of a full draw for every player."""
 
 from __future__ import annotations
 
@@ -13,11 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slotmac.batch as batch_module
 from slotmac import StateSpec, StrategyMachine, play_game, run_games, run_games_with_uniforms
 from slotmac.batch import CHUNK_SIZE, compile_machine
+from slotmac.rng import DOMAIN_GAME
 from slotmac.strategies import BUILTIN_NAMES, builtin
 
-from conftest import ReplayStream, random_machine
+from conftest import ReplayStream, full_draw_run_games, random_machine
 
 # (a, b) -> sha256(scores_a || scores_b || first_success)[:20] of
 # run_games(a, b, 9, 3000, seed=2024, pairing=(i, j)), i and j the indices
@@ -271,3 +275,107 @@ def test_override_with_undefined_move_on_the_final_slot_plays():
 def test_horizon_past_int32_rejected():
     with pytest.raises(ValueError, match="horizon"):
         run_games(builtin("never"), builtin("never"), 2**31, 1, seed=0)
+
+
+DETERMINISTIC = ("never", "always", "tft0", "tft1")
+
+
+@pytest.mark.parametrize("a", BUILTIN_NAMES)
+@pytest.mark.parametrize("b", BUILTIN_NAMES)
+def test_skipped_draws_change_no_game(a, b):
+    # two chunks, so the second chunk's streams are checked too
+    pairing = (BUILTIN_NAMES.index(a), BUILTIN_NAMES.index(b))
+    args = (builtin(a), builtin(b), 7, CHUNK_SIZE + 5)
+    got = run_games(*args, seed=31, pairing=pairing)
+    assert _digest(got) == _digest(full_draw_run_games(*args, seed=31, pairing=pairing))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    horizon=st.integers(1, 12),
+    runs=st.integers(0, 40),
+    fixed=st.sampled_from(["a", "b", "both"]),
+    override=st.sampled_from(["", "a", "b", "both"]),
+)
+def test_skipped_draws_change_no_game_on_random_machines(seed, horizon, runs, fixed, override):
+    rng = np.random.default_rng(seed)
+    ma = random_machine(rng, deterministic=fixed != "b", override=override in ("a", "both"))
+    mb = random_machine(rng, deterministic=fixed != "a", override=override in ("b", "both"))
+    got = run_games(ma, mb, horizon, runs, seed=seed, pairing=(3, 4))
+    assert _digest(got) == _digest(full_draw_run_games(ma, mb, horizon, runs, seed=seed, pairing=(3, 4)))
+
+
+@pytest.mark.parametrize("seat", ["a", "b"])
+def test_deterministic_pairing_with_reachable_undefined_transition_raises(seat):
+    # never idles and hears nothing on slot 1 of every game, and the broken
+    # table has no successor for that move
+    compiled = compile_machine(builtin("never"))
+    trans = compiled.trans.copy()
+    trans[compiled.start, 0, 0] = -1
+    broken = dataclasses.replace(compiled, trans=trans)
+    pair = (broken, builtin("never")) if seat == "a" else (builtin("never"), broken)
+    with pytest.raises(ValueError, match="no transition"):
+        run_games(*pair, 2, 200, seed=0)
+    assert run_games(*pair, 2, 0, seed=0).scores_a.shape == (0,)  # no game, no move
+    # on the final slot the move is never followed
+    assert (run_games(*pair, 1, 200, seed=0).scores_a == 0).all()
+
+
+@pytest.fixture
+def streams(monkeypatch):
+    """The id of every stream run_games builds a generator for, in order."""
+    built = []
+
+    class CountingStream(batch_module.RngStream):
+        def generator(self):
+            built.append(self.stream)
+            return super().generator()
+
+    monkeypatch.setattr(batch_module, "RngStream", CountingStream)
+    return built
+
+
+@pytest.mark.parametrize("fixed", DETERMINISTIC)
+def test_deterministic_player_gets_no_stream(fixed, streams):
+    i, j = BUILTIN_NAMES.index(fixed), BUILTIN_NAMES.index("four_state")
+    run_games(builtin(fixed), builtin("four_state"), 5, CHUNK_SIZE + 5, seed=3, pairing=(i, j))
+    run_games(builtin("four_state"), builtin(fixed), 5, CHUNK_SIZE + 5, seed=3, pairing=(j, i))
+    assert streams == [
+        (DOMAIN_GAME, i, j, 0, 1), (DOMAIN_GAME, i, j, 1, 1),
+        (DOMAIN_GAME, j, i, 0, 0), (DOMAIN_GAME, j, i, 1, 0),
+    ]
+
+
+def test_deterministic_pairing_builds_no_stream(streams):
+    # the final-slot grab keeps never deterministic: its foreign states
+    # transmit with probability 1
+    grab = StrategyMachine("grab", "off", builtin("never").states, last_slot_override=True)
+    for a in DETERMINISTIC + (grab,):
+        for b in DETERMINISTIC + (grab,):
+            ma, mb = (builtin(m) if isinstance(m, str) else m for m in (a, b))
+            out = run_games(ma, mb, 9, CHUNK_SIZE + 5, seed=3)
+            assert out.scores_a.shape == (CHUNK_SIZE + 5,) and out.scores_a.dtype == np.int32
+    assert streams == []
+
+
+@pytest.mark.parametrize("a, b", [("tft0", "tft1"), ("tft0", "four_state"), ("four_state", "four_state")])
+def test_no_runs_gives_empty_arrays(a, b, streams):
+    out = run_games(builtin(a), builtin(b), 5, 0, seed=3)
+    for arr in (out.scores_a, out.scores_b, out.first_success):
+        assert arr.shape == (0,) and arr.dtype == np.int32
+    assert streams == []
+
+
+@pytest.mark.parametrize("field", ["probs", "last_probs"])
+@pytest.mark.parametrize("near", [np.nextafter(1.0, 0.0), np.nextafter(0.0, 1.0)])
+def test_probability_next_to_0_or_1_still_draws(field, near, streams):
+    # 1 - 2**-53 idles on a draw of 1 - 2**-53, and 2**-1074 transmits on
+    # a draw of 0: only exactly 0 and 1 ignore the uniform
+    compiled = compile_machine(_cycle(1, override=False))  # every move defined
+    fixed = np.full_like(compiled.probs, round(near))
+    table = dataclasses.replace(compiled, probs=fixed, last_probs=fixed)
+    run_games(table, builtin("tft0"), 3, 10, seed=3)
+    assert streams == []
+    run_games(dataclasses.replace(table, **{field: np.full_like(fixed, near)}), builtin("tft0"), 3, 10, seed=3)
+    assert streams == [(DOMAIN_GAME, 0, 0, 0, 0)]

@@ -337,6 +337,19 @@ def test_unknown_entrant_exit_one(capsys):
     assert "zzz" in err
 
 
+@pytest.mark.parametrize("make", [False, True], ids=["missing", "empty"])
+def test_strategy_dir_without_machines_exit_one(make, capsys, tmp_path):
+    # a directory with nothing to load is blamed, not the entrants
+    folder = tmp_path / "machines"
+    if make:
+        folder.mkdir()
+        (folder / "notes.txt").write_text("no machines here\n")
+    code, _, err = run(["tournament", "--strategy-dir", str(folder), "--runs", "10"], capsys)
+    assert code == 1
+    assert str(folder) in err
+    assert "unknown entrants" not in err
+
+
 def test_tournament_enters_any_builtin(capsys, tmp_path):
     # four_state_enhanced is a builtin outside the default lineup
     code, _, err = run(

@@ -152,6 +152,13 @@ def test_vectorized_accepts_empty_uniforms():
     assert batch.scores_a.shape == batch.scores_b.shape == batch.first_success.shape == (0,)
 
 
+def test_vectorized_rejects_zero_horizon():
+    # (runs, 0) matrices would play zero-slot games and score them all 0
+    none = np.zeros((3, 0))
+    with pytest.raises(ValueError, match="horizon"):
+        run_games_with_uniforms(builtin("four_state"), builtin("tft1"), none, none)
+
+
 def _tournament_horizon(horizon):
     config = TournamentConfig.from_machines(
         {"a": builtin("four_state"), "b": builtin("never")}, horizon=horizon, runs=50, seed=1
