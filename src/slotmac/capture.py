@@ -37,16 +37,22 @@ memoryless behaviors reproduces z_3, and the e-bound z_n <= (1-1/n)^-(n-1)
 
 Every Monte Carlo estimate here and in ``multichannel`` runs through one
 stopping-time loop, ``_stopping_times``.  Episodes go in chunks of
-``CHUNK_SIZE``, chunk c drawing from its own stream.  Each slot t a
-simulator's step sees the still-open episodes and returns two masks over
-them: those that end at t, and those that end at t + 1 (a deterministic
-follow-up slot, or None).  An end past ``max_slots`` is censored: counted
-in ``SimSummary.censored`` and left out of the mean.
+``CHUNK_SIZE``, chunk c drawing from its own stream, and the chunks run
+concurrently: one worker thread per usable CPU, never more than there are
+chunks.  Each chunk writes its episodes' end slots into its own slice of
+one array, so the worker count never changes an output bit.  Each slot t
+a simulator's step sees the per-episode state of the still-open episodes
+only, compacted in episode order, and returns two masks over them, those
+that end at t and those that end at t + 1 (a deterministic follow-up
+slot, or None), with their next state.  An end past ``max_slots`` is
+censored: counted in ``SimSummary.censored`` and left out of the mean.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -222,60 +228,104 @@ def summarize_times(times: np.ndarray, censored: int) -> SimSummary:
     return SimSummary(completed + censored, completed, censored, mean, stderr)
 
 
-def _policy_tables(policy: CapturePolicy, users: int) -> tuple[np.ndarray, np.ndarray]:
-    """Materialize a policy as lookup tables for the vectorized loop:
-    per-size transmit probabilities and the post-split group size for every
-    (size, transmitted) pair (size itself when the policy repeats)."""
+def _policy_tables(policy: CapturePolicy, users: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Materialize a policy as lookup tables for the vectorized loop, for
+    the group sizes reachable from ``users`` only: ``probs[m]`` is the
+    transmit probability of size m, and the group size after k of m
+    transmit is ``after[offset[m] + k]`` (m itself when the policy
+    repeats).  ``offset[m]`` is where size m's row of m + 1 entries starts
+    in the flat ``after``, and -1 for an unreachable size, so a policy that
+    never splits builds one row whatever ``users`` is."""
     probs = np.zeros(users + 1)
-    for m in range(1, users + 1):
+    offset = np.full(users + 1, -1, dtype=np.int64)
+    after: list[int] = []
+    pending = [users]
+    while pending:
+        m = pending.pop()
+        if offset[m] >= 0:
+            continue
         p = float(policy.transmit_prob(m))
         if not (math.isfinite(p) and 0.0 <= p <= 1.0):
             raise ValueError(f"policy transmit probability {p!r} is outside [0, 1]")
         probs[m] = p
-    after = np.zeros((users + 1, users + 1), dtype=np.int64)
-    for m in range(1, users + 1):
-        after[m, 0] = after[m, m] = m
-        for k in range(2, m):
-            verdict = policy.survivor(m, k)
-            if verdict == "transmitters":
-                after[m, k] = k
-            elif verdict == "silent":
-                after[m, k] = m - k
-            elif verdict == "repeat":
-                after[m, k] = m
-            else:
-                raise ValueError(f"policy survivor verdict {verdict!r} is not recognized")
-    return probs, after
+        offset[m] = len(after)
+        splits = [_survivor_size(policy, m, k) for k in range(2, m)]
+        after += [m, 0, *splits, m][: m + 1]  # k = 0, 1 (captures: never read), 2..m-1, m
+        pending += [size for size in splits if offset[size] < 0]
+    return probs, offset, np.array(after, dtype=np.int64)
+
+
+def _survivor_size(policy: CapturePolicy, m: int, k: int) -> int:
+    verdict = policy.survivor(m, k)
+    if verdict == "transmitters":
+        return k
+    if verdict == "silent":
+        return m - k
+    if verdict == "repeat":
+        return m
+    raise ValueError(f"policy survivor verdict {verdict!r} is not recognized")
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _stopping_times(stream: Callable[[int], RngStream], episodes: int, step: Callable, start: Callable | None = None,
                     max_slots: int = 10_000, chunk_size: int = CHUNK_SIZE) -> SimSummary:
     """The loop of the module docstring: chunk c of n episodes draws from
-    ``stream(c)`` with state ``start(n)``, and slot t calls
-    ``step(gen, state, open_idx)`` for the ascending open indices."""
+    ``stream(c)`` with state ``start(n)`` (None without ``start``), and slot
+    t calls ``step(gen, state, open_count)`` with the state of the
+    ``open_count`` still-open episodes, which returns (ends at t, ends at
+    t + 1 or None, next state).  ``Generator`` draws and fancy indexing
+    release the GIL, so the chunks' threads overlap."""
     if episodes < 1 or max_slots < 1:
         raise ValueError("need episodes >= 1 and max_slots >= 1")
-    times: list[np.ndarray] = []
-    censored = 0
-    for chunk, lo in enumerate(range(0, episodes, chunk_size)):
-        n = min(lo + chunk_size, episodes) - lo
+
+    # the chunks write their ends into slices of one array the caller owns,
+    # so no worker allocates anything that outlives its chunk
+    done_at = np.zeros(episodes, dtype=np.int64)
+
+    def run_chunk(chunk: int) -> None:
+        ends = done_at[chunk * chunk_size: (chunk + 1) * chunk_size]
         gen = stream(chunk).generator()
-        state = start(n) if start is not None else None
-        done_at = np.zeros(n, dtype=np.int64)
-        open_idx = np.arange(n)
+        state = start(len(ends)) if start is not None else None
+        open_idx = np.arange(len(ends))
         for t in range(1, max_slots + 1):
             if len(open_idx) == 0:
                 break
-            ended, ends_next = step(gen, state, open_idx)
-            done_at[open_idx[ended]] = t
+            ended, ends_next, state = step(gen, state, len(open_idx))
+            ends[open_idx[ended]] = t
             if ends_next is not None:
                 if t < max_slots:
-                    done_at[open_idx[ends_next]] = t + 1
+                    ends[open_idx[ends_next]] = t + 1
                 ended = ended | ends_next
-            open_idx = open_idx[~ended]
-        censored += int(np.count_nonzero(done_at == 0))
-        times.append(done_at[done_at > 0])
-    return summarize_times(np.concatenate(times), censored)
+            keep = ~ended
+            open_idx = open_idx[keep]
+            if state is not None:
+                state = state[keep]
+
+    # Worker w runs chunks w, w + workers, ...; the calling thread is worker
+    # 0.  Each thread's temporaries stay in its own malloc arena after it is
+    # done, so a pool thread for every worker would leave the calling
+    # thread's arena idle and raise the peak RSS; one chunk starts no thread.
+    chunks = -(-episodes // chunk_size)
+    workers = min(chunks, _usable_cpus())
+
+    def work(first: int) -> None:
+        for chunk in range(first, chunks, workers):
+            run_chunk(chunk)
+
+    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
+        helpers = [pool.submit(work, w) for w in range(1, workers)]
+        work(0)
+        for helper in helpers:
+            helper.result()  # re-raises a helper's exception
+    return summarize_times(done_at[done_at > 0], int(np.count_nonzero(done_at == 0)))
 
 
 def simulate_capture(
@@ -292,15 +342,11 @@ def simulate_capture(
     """
     if users < 1:
         raise ValueError("need users >= 1")
-    probs, after = _policy_tables(policy, users)
+    probs, offset, after = _policy_tables(policy, users)
 
-    def step(gen, group, open_idx):
-        m = group[open_idx]
-        k = gen.binomial(m, probs[m])
-        captured = k == 1
-        rest = open_idx[~captured]
-        group[rest] = after[group[rest], k[~captured]]
-        return captured, None
+    def step(gen, group, open_count):
+        k = gen.binomial(group, probs[group])
+        return k == 1, None, after[offset[group] + k]
 
     return _stopping_times(lambda chunk: RngStream(seed, (DOMAIN_CAPTURE, users, chunk)), episodes, step,
                            start=lambda n: np.full(n, users, dtype=np.int64), max_slots=max_slots)
@@ -312,9 +358,9 @@ def simulate_virtual_pair(episodes: int, seed: int, max_slots: int = 10_000) -> 
     two-user floor argument says this takes 2 slots on average.  All
     episodes share one unchunked stream."""
 
-    def step(gen, state, open_idx):
-        packets = gen.integers(0, 2, size=(len(open_idx), 2))
-        return packets.sum(axis=1) == 1, None
+    def step(gen, state, open_count):
+        packets = gen.integers(0, 2, size=(open_count, 2))
+        return packets.sum(axis=1) == 1, None, None
 
     return _stopping_times(lambda chunk: RngStream(seed, (DOMAIN_MISC, 2)), episodes, step,
                            max_slots=max_slots, chunk_size=episodes)

@@ -241,6 +241,17 @@ def followup_transmitter(codes: tuple[int, int, int]) -> int:
 # simulation
 
 
+MAX_CHANNELS = 20  # the two-user simulator's subset table holds 2^m floats: 8 MiB at m = 20
+
+
+def _subset_count(channels: int) -> int:
+    """2^m, the number of subsets the two-user simulator tabulates, for
+    1 <= m <= ``MAX_CHANNELS``; more channels would ask for gigabytes."""
+    if not 1 <= channels <= MAX_CHANNELS:
+        raise ValueError(f"need 1 <= channels <= {MAX_CHANNELS}, got {channels}")
+    return 1 << channels
+
+
 def _draw_codes(gen: np.random.Generator, cum: np.ndarray, rows: int, users: int) -> np.ndarray:
     u = gen.random((rows, users))
     return np.searchsorted(cum, u, side="right")
@@ -256,9 +267,7 @@ def simulate_two_user(
     """Two users repeat a subset distribution until their picks differ
     (some channel then has exactly one transmitter).  Defaults to the
     uniform distribution over all 2^m subsets, which is optimal."""
-    if channels < 1:
-        raise ValueError("need channels >= 1")
-    n_subsets = 1 << channels
+    n_subsets = _subset_count(channels)
     if distribution is None:
         distribution = np.full(n_subsets, 1.0 / n_subsets)
     q = _checked_distribution(distribution)
@@ -267,9 +276,9 @@ def simulate_two_user(
     cum = np.cumsum(q)
     cum[-1] = 1.0
 
-    def step(gen, state, open_idx):
-        codes = _draw_codes(gen, cum, len(open_idx), 2)
-        return codes[:, 0] != codes[:, 1], None
+    def step(gen, state, open_count):
+        codes = _draw_codes(gen, cum, open_count, 2)
+        return codes[:, 0] != codes[:, 1], None, None
 
     return _stopping_times(lambda chunk: RngStream(seed, (DOMAIN_MULTICHANNEL, 2, channels, chunk)), episodes,
                            step, max_slots=max_slots)
@@ -299,13 +308,13 @@ def simulate_three_user_two_channel(
     cum = np.cumsum(dist)
     cum[-1] = 1.0
 
-    def step(gen, state, open_idx):
-        codes = _draw_codes(gen, cum, len(open_idx), 3)
+    def step(gen, state, open_count):
+        codes = _draw_codes(gen, cum, open_count, 3)
         c1 = (codes & 1).sum(axis=1)
         c2 = ((codes >> 1) & 1).sum(axis=1)
         capture = (c1 == 1) | (c2 == 1)
         same = (codes[:, 0] == codes[:, 1]) & (codes[:, 1] == codes[:, 2])
-        return capture, ~capture & ~same
+        return capture, ~capture & ~same, None
 
     return _stopping_times(lambda chunk: RngStream(seed, (DOMAIN_MULTICHANNEL, 3, 2, chunk)), episodes, step,
                            max_slots=max_slots)
@@ -332,6 +341,7 @@ def resolve_multichannel(
 
     if users == 2:
         reject(params=params)
+        _subset_count(channels)
         if distribution is None:
             expected = float(two_user_capture_time(channels))
         else:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -211,6 +212,58 @@ def test_scalar_episodes_agree_with_table(capture_table):
     mean = float(np.mean(times))
     stderr = float(np.std(times, ddof=1)) / math.sqrt(len(times))
     assert abs(mean - capture_table.values[3]) < 4 * stderr
+
+
+def test_policy_tables_cover_the_reachable_sizes(capture_table):
+    policy = GroupSplittingPolicy(capture_table)
+    probs, offset, after = capture._policy_tables(policy, 7)
+    reachable = {7}
+    for m in range(7, 1, -1):
+        if m in reachable:
+            reachable |= {k if policy.survivor(m, k) == "transmitters" else m - k for k in range(2, m)}
+    assert set(np.flatnonzero(offset >= 0)) == reachable
+    for m in reachable:
+        assert probs[m] == policy.transmit_prob(m)
+        row = after[offset[m]: offset[m] + m + 1]
+        # nobody or everybody transmitting keeps the group; k = 1 captures
+        assert row[0] == m and (m == 1 or row[m] == m)
+        for k in range(2, m):
+            assert row[k] == (k if policy.survivor(m, k) == "transmitters" else m - k), (m, k)
+
+
+def test_policy_tables_of_a_policy_that_never_splits_have_one_row():
+    probs, offset, after = capture._policy_tables(FixedProbabilityPolicy(0.001), 20_000)
+    assert list(np.flatnonzero(offset >= 0)) == [20_000]
+    assert len(after) == 20_001
+    assert probs[20_000] == 0.001
+
+
+@dataclass(frozen=True)
+class _BadAtFive:
+    """From 7 users, a slot where 2 transmit keeps the silent 5, the one
+    size whose verdict and probability are the given ones; every other
+    size transmits with 0.2 and repeats."""
+
+    verdict: str = "repeat"
+    p: float = 0.2
+
+    def transmit_prob(self, group_size):
+        return self.p if group_size == 5 else 0.2
+
+    def survivor(self, group_size, transmitted):
+        if group_size == 5:
+            return self.verdict
+        return "silent" if (group_size, transmitted) == (7, 2) else "repeat"
+
+
+def test_policy_tables_check_every_reachable_size():
+    with pytest.raises(ValueError, match="'sideways' is not recognized"):
+        capture._policy_tables(_BadAtFive(verdict="sideways"), 7)
+    with pytest.raises(ValueError, match="1.5 is outside"):
+        capture._policy_tables(_BadAtFive(p=1.5), 7)
+    # from 6 users size 5 is never reached, so nothing asks it
+    probs, offset, after = capture._policy_tables(_BadAtFive("sideways", 1.5), 6)
+    assert list(np.flatnonzero(offset >= 0)) == [6]
 
 
 def test_fixed_probability_mean():

@@ -250,6 +250,19 @@ def test_multichannel_params_not_applied_exit_one(users, channels, capsys, tmp_p
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("channels", ["30", "40"])
+def test_multichannel_oversized_channel_count_exit_one(channels, capsys, tmp_path):
+    # 30 channels used to end in a numpy allocation traceback
+    code, _, err = run(
+        ["multichannel", "simulate", "--users", "2", "--channels", channels, "--episodes", "100",
+         "--out-dir", str(tmp_path / "out")],
+        capsys,
+    )
+    assert code == 1
+    assert f"need 1 <= channels <= 20, got {channels}" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -21,6 +21,7 @@ from slotmac import (
 from slotmac.capture import GroupSplittingPolicy, simulate_capture
 from slotmac.multichannel import (
     DEFAULT_THREE_USER_PARAMS,
+    MAX_CHANNELS,
     followup_transmitter,
     followup_will_transmit,
     resolve_multichannel,
@@ -275,6 +276,20 @@ def test_resolver_rejects_options_the_configuration_ignores(users, channels, giv
         resolve_multichannel(users, channels, **given)
     with pytest.raises(ValueError, match=f"{name} does not apply"):
         simulate_multichannel(users, channels, episodes=100, seed=0, **given)
+
+
+@pytest.mark.parametrize("channels", [0, MAX_CHANNELS + 1, 40])
+def test_two_users_reject_channel_counts_out_of_range(channels):
+    # 30 channels used to die allocating 2^30 floats (8 GiB) for the subsets
+    with pytest.raises(ValueError, match=f"channels <= {MAX_CHANNELS}, got {channels}"):
+        resolve_multichannel(2, channels)
+    with pytest.raises(ValueError, match=f"channels <= {MAX_CHANNELS}, got {channels}"):
+        simulate_two_user(channels, episodes=10, seed=0)
+
+
+def test_two_users_on_the_most_channels():
+    s = simulate_two_user(MAX_CHANNELS, episodes=1000, seed=0)
+    assert (s.completed, s.mean) == (1000, 1.0)
 
 
 def test_resolver_looks_up_simulators_when_called(monkeypatch):

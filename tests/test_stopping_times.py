@@ -3,8 +3,12 @@ and the input checks the loop owns."""
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
+from slotmac import capture
 from slotmac.capture import (
     CHUNK_SIZE,
     FixedProbabilityPolicy,
@@ -17,6 +21,7 @@ from slotmac.multichannel import (
     simulate_three_user_two_channel,
     simulate_two_user,
 )
+from slotmac.rng import RngStream
 
 SKEWED = (0.7, 0.1, 0.1, 0.1)
 FAMILY = (0.4, 0.3, 0.6)
@@ -91,6 +96,65 @@ def test_simulator_draws_are_pinned(name, capture_table):
     call, expected = PINNED[name]
     s = call(capture_table)
     assert (s.episodes, s.completed, s.censored, repr(s.mean), repr(s.stderr)) == expected
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("name", ["capture_two_chunks", "two_user_two_chunks", "three_two_two_chunks"])
+def test_worker_count_changes_no_bit(name, cpus, capture_table, monkeypatch):
+    monkeypatch.setattr(capture, "_usable_cpus", lambda: cpus)
+    call, expected = PINNED[name]
+    s = call(capture_table)
+    assert (s.episodes, s.completed, s.censored, repr(s.mean), repr(s.stderr)) == expected
+
+
+@pytest.mark.parametrize("failing", ["pool thread", "calling thread"])
+def test_exception_in_a_chunk_propagates(failing, monkeypatch):
+    monkeypatch.setattr(capture, "_usable_cpus", lambda: 2)
+    both_started = threading.Barrier(2, timeout=30)
+
+    def stream(chunk):
+        # chunk 0 runs on the calling thread and chunk 1 on the pool thread;
+        # neither starts its episodes before the other has begun
+        both_started.wait()
+        on_caller = threading.current_thread() is threading.main_thread()
+        if on_caller == (failing == "calling thread"):
+            raise RuntimeError(f"chunk {chunk} failed")
+        return RngStream(0, (chunk,))
+
+    def step(gen, state, open_count):
+        return gen.random(open_count) < 0.5, None, None
+
+    with pytest.raises(RuntimeError, match="chunk [01] failed"):
+        capture._stopping_times(stream, 20, step, chunk_size=10)
+
+
+def test_every_chunk_runs_once_on_more_threads_than_cores(monkeypatch):
+    # threads share the output array; a chunk run twice or never would show
+    # in the streams asked for, and a write outside a chunk's slice in the
+    # summary
+    asked = []
+
+    def stream(chunk):
+        asked.append(chunk)
+        return RngStream(0, (chunk,))
+
+    def step(gen, state, open_count):
+        return gen.random(open_count) < 0.3, None, None
+
+    def run(cpus):
+        monkeypatch.setattr(capture, "_usable_cpus", lambda: cpus)
+        asked.clear()
+        summary = capture._stopping_times(stream, 997, step, chunk_size=7)
+        assert sorted(asked) == list(range(143))
+        return summary
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        crowded = run(8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert crowded == run(1)
 
 
 SIMULATORS = {
