@@ -37,8 +37,8 @@ memoryless behaviors reproduces z_3, and the e-bound z_n <= (1-1/n)^-(n-1)
 
 Every Monte Carlo estimate here and in ``multichannel`` runs through one
 stopping-time loop, ``_stopping_times``.  Episodes go in chunks of
-``CHUNK_SIZE``, chunk c drawing from its own stream, and the chunks run
-concurrently: one worker thread per usable CPU, never more than there are
+``CHUNK_SIZE``, chunk c drawing from its own stream, and ``rng.run_units``
+runs the chunks on one thread per usable CPU, never more than there are
 chunks.  Each chunk writes its episodes' end slots into its own slice of
 one array, so the worker count never changes an output bit.  Each slot t
 a simulator's step sees the per-episode state of the still-open episodes
@@ -52,15 +52,14 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
-from .game import CapturePolicy
+from .game import TRANSMIT, CapturePolicy, policy_prob, policy_side
 from .optimize import scan_then_golden
-from .rng import DOMAIN_CAPTURE, DOMAIN_MISC, RngStream
+from .rng import DOMAIN_CAPTURE, DOMAIN_MISC, RngStream, run_units
 
 SCAN_POINTS = 999  # dense scan over p in {0.001, ..., 0.999}
 MAX_USERS = 1027  # largest n with C(n, n // 2) * e finite in float64
@@ -244,26 +243,13 @@ def _policy_tables(policy: CapturePolicy, users: int) -> tuple[np.ndarray, np.nd
         m = pending.pop()
         if offset[m] >= 0:
             continue
-        p = float(policy.transmit_prob(m))
-        if not (math.isfinite(p) and 0.0 <= p <= 1.0):
-            raise ValueError(f"policy transmit probability {p!r} is outside [0, 1]")
-        probs[m] = p
+        probs[m] = policy_prob(policy, m)
         offset[m] = len(after)
-        splits = [_survivor_size(policy, m, k) for k in range(2, m)]
+        sides = [(k, policy_side(policy, m, k)) for k in range(2, m)]
+        splits = [m if side is None else k if side == TRANSMIT else m - k for k, side in sides]
         after += [m, 0, *splits, m][: m + 1]  # k = 0, 1 (captures: never read), 2..m-1, m
         pending += [size for size in splits if offset[size] < 0]
     return probs, offset, np.array(after, dtype=np.int64)
-
-
-def _survivor_size(policy: CapturePolicy, m: int, k: int) -> int:
-    verdict = policy.survivor(m, k)
-    if verdict == "transmitters":
-        return k
-    if verdict == "silent":
-        return m - k
-    if verdict == "repeat":
-        return m
-    raise ValueError(f"policy survivor verdict {verdict!r} is not recognized")
 
 
 def _usable_cpus() -> int:
@@ -309,22 +295,7 @@ def _stopping_times(stream: Callable[[int], RngStream], episodes: int, step: Cal
             if state is not None:
                 state = state[keep]
 
-    # Worker w runs chunks w, w + workers, ...; the calling thread is worker
-    # 0.  Each thread's temporaries stay in its own malloc arena after it is
-    # done, so a pool thread for every worker would leave the calling
-    # thread's arena idle and raise the peak RSS; one chunk starts no thread.
-    chunks = -(-episodes // chunk_size)
-    workers = min(chunks, _usable_cpus())
-
-    def work(first: int) -> None:
-        for chunk in range(first, chunks, workers):
-            run_chunk(chunk)
-
-    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
-        helpers = [pool.submit(work, w) for w in range(1, workers)]
-        work(0)
-        for helper in helpers:
-            helper.result()  # re-raises a helper's exception
+    run_units(-(-episodes // chunk_size), run_chunk, _usable_cpus())
     return summarize_times(done_at[done_at > 0], int(np.count_nonzero(done_at == 0)))
 
 

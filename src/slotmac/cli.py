@@ -395,17 +395,35 @@ def _run_validate(args: argparse.Namespace) -> int:
     return status
 
 
+class _ManifestOptions(dict):
+    """A manifest's options: looking up one the manifest lacks raises a
+    ValueError naming the manifest, where a plain dict would raise KeyError."""
+
+    def __init__(self, manifest: Path, options: dict):
+        super().__init__(options)
+        self.manifest = manifest
+
+    def __missing__(self, key: str):
+        raise ValueError(f"{self.manifest}: manifest options have no {key!r}")
+
+
 def _run_replay(args: argparse.Namespace) -> int:
     if args.jobs is not None and args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     manifest = json.loads(args.manifest.read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{args.manifest}: manifest is not a JSON object")
+    if "command" not in manifest:
+        raise ValueError(f"{args.manifest}: manifest has no command")
     command = manifest["command"]
-    opts = dict(manifest["options"])
+    runner = RUNNERS.get(command) if isinstance(command, str) else None
+    if runner is None:
+        raise ValueError(f"{args.manifest}: manifest names unknown command {command!r}")
+    if not isinstance(manifest.get("options"), dict):
+        raise ValueError(f"{args.manifest}: manifest has no options object")
+    opts = _ManifestOptions(args.manifest, manifest["options"])
     if command == "tournament":
         opts["jobs"] = args.jobs if args.jobs is not None else 1
-    runner = RUNNERS.get(command)
-    if runner is None:
-        raise ValueError(f"manifest names unknown command {command!r}")
     result = runner(opts)
     print(result.summary)
     out_dir = args.out_dir if args.out_dir is not None else args.manifest.parent

@@ -85,11 +85,14 @@ class Diagnostic:
 
 
 class StrategyParseError(ValueError):
-    """Raised when strategy text or a machine fails validation."""
+    """Raised when strategy text or a machine fails validation.  With a
+    ``path``, each error reads ``PATH:LINE:COL: error: ...`` as
+    ``slotmac validate`` prints it."""
 
-    def __init__(self, diagnostics: list[Diagnostic]):
+    def __init__(self, diagnostics: list[Diagnostic], path: str | None = None):
         self.diagnostics = diagnostics
-        super().__init__("; ".join(d.render() for d in diagnostics if d.severity == "error"))
+        where = "" if path is None else f"{path}:"
+        super().__init__("; ".join(where + d.render() for d in diagnostics if d.severity == "error"))
 
 
 @dataclass

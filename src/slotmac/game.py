@@ -235,6 +235,23 @@ class CapturePolicy(Protocol):
     def survivor(self, group_size: int, transmitted: int) -> str: ...
 
 
+def policy_prob(policy: CapturePolicy, group_size: int) -> float:
+    """``policy.transmit_prob(m)``, checked to be a probability."""
+    p = float(policy.transmit_prob(group_size))
+    if not (math.isfinite(p) and 0.0 <= p <= 1.0):
+        raise ValueError(f"policy transmit probability {p!r} is outside [0, 1]")
+    return p
+
+
+def policy_side(policy: CapturePolicy, group_size: int, transmitted: int) -> Decision | None:
+    """The decision (TRANSMIT or IDLE) of the side that stays active after k
+    of m transmitted, None when all stay; when k = m - k a size could not."""
+    verdict = policy.survivor(group_size, transmitted)
+    if verdict not in ("transmitters", "silent", "repeat"):
+        raise ValueError(f"policy survivor verdict {verdict!r} is not recognized")
+    return {"transmitters": TRANSMIT, "silent": IDLE}.get(verdict)
+
+
 @dataclass(frozen=True)
 class EpisodeResult:
     """Outcome of one capture episode.
@@ -282,9 +299,7 @@ def play_capture_episode(
     group = users
     log: list[tuple[Decision, ...]] = []
     for t in range(1, max_slots + 1):
-        p = float(policy.transmit_prob(group))
-        if not (math.isfinite(p) and 0.0 <= p <= 1.0):
-            raise ValueError(f"policy transmit probability {p!r} is outside [0, 1]")
+        p = policy_prob(policy, group)
         draws = gen.random(users)
         x = tuple(
             TRANSMIT if active[i] and draws[i] < p else IDLE for i in range(users)
@@ -294,13 +309,8 @@ def play_capture_episode(
         if k == 1:
             return EpisodeResult(users, t, tuple(log))
         if 0 < k < group:
-            verdict = policy.survivor(group, k)
-            if verdict == "transmitters":
-                active = [active[i] and x[i] == TRANSMIT for i in range(users)]
-                group = k
-            elif verdict == "silent":
-                active = [active[i] and x[i] == IDLE for i in range(users)]
-                group = group - k
-            elif verdict != "repeat":
-                raise ValueError(f"policy survivor verdict {verdict!r} is not recognized")
+            side = policy_side(policy, group, k)
+            if side is not None:
+                active = [active[i] and x[i] == side for i in range(users)]
+                group = k if side == TRANSMIT else group - k
     return EpisodeResult(users, None, tuple(log))

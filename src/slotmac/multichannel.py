@@ -43,7 +43,7 @@ from .capture import (
     simulate_capture,
     solve_capture_table,
 )
-from .optimize import golden_section, scan_then_golden
+from .optimize import check_tol, golden_section, scan_then_golden
 from .rng import DOMAIN_MULTICHANNEL, RngStream
 
 
@@ -148,15 +148,20 @@ def _z_full(p: float, q: float, r: float) -> float:
     return renewal_value(beta_theta_full(p, q, r))
 
 
+MAX_GRID = 201  # the full-family scan holds grid^3 points at about 64 B each: ~0.5 GB peak at 201
+
+
 def optimize_three_user_two_channel(grid: int = 101, tol: float = 1e-6) -> ThreeUserOptimum:
     """Minimize expected capture time over both families.
 
     Full family: a grid^3 scan locates the basin, then coordinate-wise
     golden-section passes with a shrinking trust interval polish it.
-    Independent family: dense 1-D scan plus golden-section.
+    Independent family: dense 1-D scan plus golden-section.  Needs
+    11 <= grid <= ``MAX_GRID`` and a finite positive tol.
     """
-    if grid < 11:
-        raise ValueError("grid is too coarse to be useful")
+    if not 11 <= grid <= MAX_GRID:
+        raise ValueError(f"need 11 <= grid <= {MAX_GRID}, got {grid}")
+    check_tol(tol)
     xs = np.linspace(0.0, 1.0, grid)
     beta, theta = _beta_theta_poly(*np.meshgrid(xs, xs, xs, indexing="ij"))
     z = np.full(beta.shape, math.inf)

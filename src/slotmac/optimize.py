@@ -35,18 +35,21 @@ def golden_section(
 ) -> tuple[float, float]:
     """Minimize f on [lo, hi], assuming a single minimum inside.
 
-    Shrinks the bracket until it is narrower than tol and returns the best
-    point evaluated along the way, so a flat-bottomed f still comes back
-    with a trustworthy value.
+    Shrinks the bracket until it is narrower than tol (finite, positive)
+    or a step no longer narrows it, and returns the best point evaluated
+    along the way, so a flat-bottomed f still comes back with a
+    trustworthy value.
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
+    check_tol(tol)
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
     best_x, best_f = (c, fc) if fc <= fd else (d, fd)
     while b - a > tol:
+        width = b - a
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -58,7 +61,15 @@ def golden_section(
         x, fx = (c, fc) if fc <= fd else (d, fd)
         if fx < best_f:
             best_x, best_f = x, fx
+        if b - a >= width:
+            break
     return best_x, best_f
+
+
+def check_tol(tol: float) -> None:
+    """Reject a tolerance no search can stop at: zero, negative or not finite."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
 def scan_then_golden(

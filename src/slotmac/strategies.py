@@ -32,7 +32,7 @@ from functools import cache
 from importlib import resources
 from pathlib import Path
 
-from .dsl import StrategyMachine, parse_strategy, reachable_states
+from .dsl import StrategyMachine, StrategyParseError, parse_strategy, reachable_states
 
 BUILTIN_NAMES: tuple[str, ...] = (
     "never", "always", "tft0", "tft1", "three_state", "four_state", "four_state_enhanced",
@@ -70,7 +70,11 @@ def corpus_dir() -> Path:
 
 
 def load_strategy_file(path: str | Path) -> StrategyMachine:
-    return parse_strategy(Path(path).read_text(encoding="utf-8"))
+    """Parse one .strat file; a parse error's message starts with the path."""
+    try:
+        return parse_strategy(Path(path).read_text(encoding="utf-8"))
+    except StrategyParseError as exc:
+        raise StrategyParseError(exc.diagnostics, str(path)) from None
 
 
 def load_strategy_dir(path: str | Path) -> dict[str, StrategyMachine]:

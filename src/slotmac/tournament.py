@@ -10,15 +10,14 @@ j.  The three figures of merit mirror how the lineup is usually judged:
     beta:  mean score against a dead channel, when the lineup has one
     gamma: mean score over all games played (row mean, self included)
 
-Pairings draw from streams named by (seed, pair, chunk), so a tournament's
-numbers are identical whether it runs on one thread or many.
+Pairings draw from streams named by (seed, pair, chunk) and write their
+cells by index, so ``rng.run_units`` may run them on any number of threads.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +25,7 @@ import numpy as np
 from .batch import compile_machine, run_games
 from .dsl import StrategyMachine
 from .game import check_horizon
+from .rng import run_units
 from .strategies import never_transmits
 
 
@@ -89,8 +89,8 @@ def run_tournament(config: TournamentConfig, jobs: int = 1) -> ScoreMatrix:
     """Play the full round robin and tabulate mean scores.
 
     The diagonal averages (own + twin) / 2 per game, an unbiased and
-    lower-variance read on self-play value.  ``jobs`` only sets how many
-    pairings run concurrently; it never changes the numbers.
+    lower-variance read on self-play value.  ``jobs`` (the calling thread
+    included) only sets how many pairings run at once, never the numbers.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -100,8 +100,10 @@ def run_tournament(config: TournamentConfig, jobs: int = 1) -> ScoreMatrix:
     mean = np.zeros((k, k))
     stderr = np.zeros((k, k))
 
-    def play_pair(pair: tuple[int, int]) -> None:
-        i, j = pair
+    pairs = [(i, j) for i in range(k) for j in range(i, k)]
+
+    def play_pair(pair: int) -> None:
+        i, j = pairs[pair]
         batch = run_games(compiled[i], compiled[j], config.horizon, config.runs, config.seed, pairing=(i, j))
         if i == j:
             per_game = (batch.scores_a + batch.scores_b) / 2.0
@@ -110,13 +112,7 @@ def run_tournament(config: TournamentConfig, jobs: int = 1) -> ScoreMatrix:
             mean[i, j], stderr[i, j] = _sample_stats(batch.scores_a)
             mean[j, i], stderr[j, i] = _sample_stats(batch.scores_b)
 
-    pairs = [(i, j) for i in range(k) for j in range(i, k)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(play_pair, pairs))
-    else:
-        for pair in pairs:
-            play_pair(pair)
+    run_units(len(pairs), play_pair, jobs)
     return ScoreMatrix(names, config.horizon, config.runs, config.seed, mean, stderr)
 
 

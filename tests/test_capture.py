@@ -266,6 +266,44 @@ def test_policy_tables_check_every_reachable_size():
     assert list(np.flatnonzero(offset >= 0)) == [6]
 
 
+@pytest.mark.parametrize(
+    "bad, seed, message",
+    [(_BadAtFive(verdict="sideways"), 1, "'sideways' is not recognized"), (_BadAtFive(p=1.5), 0, "1.5 is outside")],
+)
+def test_scalar_episodes_check_a_policy_as_the_tables_do(bad, seed, message):
+    with pytest.raises(ValueError, match=message):
+        play_capture_episode(bad, 5, RngStream(seed, (0,)))
+
+
+@dataclass(frozen=True)
+class _EvenSplit:
+    """Four users at p = 1/2; a slot where 2 of 4 transmit keeps ``side``."""
+
+    side: str
+
+    def transmit_prob(self, group_size):
+        return 0.5
+
+    def survivor(self, group_size, transmitted):
+        return self.side if (group_size, transmitted) == (4, 2) else "repeat"
+
+
+@pytest.mark.parametrize("side", ["transmitters", "silent"])
+def test_scalar_episodes_keep_the_named_side_of_an_even_split(side):
+    # when 2 of 4 transmit both sides have 2 members: only the side, not
+    # the size, says who stays active
+    splits = 0
+    for seed in range(20):
+        rows = play_capture_episode(_EvenSplit(side), 4, RngStream(seed, (0,))).decisions
+        t = next((t for t, row in enumerate(rows) if sum(row) == 2), None)
+        if t is None:
+            continue
+        splits += 1
+        kept = {i for i, x in enumerate(rows[t]) if x == (side == "transmitters")}
+        assert all(i in kept for row in rows[t + 1:] for i, x in enumerate(row) if x)
+    assert splits > 0
+
+
 def test_fixed_probability_mean():
     # n users at fixed p resolve as a geometric with success n p (1-p)^(n-1)
     n, p = 4, 0.3

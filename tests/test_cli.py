@@ -15,6 +15,7 @@ import slotmac
 from slotmac import alpha_optimal, beta3, beta4, builtin, expected_y
 from slotmac.cli import main
 from slotmac.dsl import machine_source
+from slotmac.multichannel import MAX_GRID
 from slotmac.strategies import DEFAULT_LINEUP, corpus_dir
 
 
@@ -455,3 +456,62 @@ def test_fixed_p_simulation_past_solver_limit_allowed(capsys, tmp_path):
                         "--max-slots", "5", "--out-dir", str(tmp_path)], capsys)
     assert code == 0, err
     assert json.loads((tmp_path / "capture_sim.json").read_text())["users"] == 1028
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["capture", "solve", "--n-max", "3"],
+        ["multichannel", "optimize", "--grid", "21"],
+    ],
+)
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_solver_tolerance_out_of_range_exit_one(argv, tol, capsys, tmp_path):
+    # --tol 0 and -1 used to hang, and nan to print an unpolished grid point
+    code, _, err = run(argv + ["--tol", tol, "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert "tol must be finite and positive" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_multichannel_optimize_oversized_grid_exit_one(capsys, tmp_path):
+    grid = MAX_GRID + 1
+    code, _, err = run(["multichannel", "optimize", "--grid", str(grid), "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert f"need 11 <= grid <= {MAX_GRID}, got {grid}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_strategy_dir_names_the_malformed_file(capsys, tmp_path):
+    # the error used to give a line and column but not which file of the
+    # directory they are in
+    folder = tmp_path / "machines"
+    folder.mkdir()
+    for path in corpus_dir().glob("*.strat"):
+        (folder / path.name).write_text(path.read_text())
+    bad = folder / "zz_bad.strat"
+    bad.write_text("machine zz\nstart off\nstate off transmit 1.5\n  on I f=0 -> off\n  on I f=1 -> off\nend\n")
+    code, _, err = run(["tournament", "--strategy-dir", str(folder), "--runs", "10"], capsys)
+    assert code == 1
+    assert err.startswith(f"slotmac: error: {bad}:3:")
+    assert "transmit probability 1.5 is outside [0, 1]" in err
+
+
+@pytest.mark.parametrize(
+    "manifest, message",
+    [
+        ([1, 2], "manifest is not a JSON object"),
+        ({"tool": "slotmac"}, "manifest has no command"),
+        ({"command": "capture solve"}, "manifest has no options object"),
+        ({"command": "capture solve", "options": {}}, "manifest options have no 'n_max'"),
+    ],
+    ids=["not-an-object", "no-command", "no-options", "missing-option"],
+)
+def test_replay_malformed_manifest_exit_one(manifest, message, capsys, tmp_path):
+    # each of these used to end in a KeyError or TypeError traceback
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    code, _, err = run(["replay", str(path), "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert f"{path}: {message}" in err
+    assert not (tmp_path / "out").exists()

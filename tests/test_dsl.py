@@ -82,6 +82,15 @@ def test_probability_out_of_range_has_position():
     assert any("outside [0, 1]" in d.message and d.line == 5 and d.column == 18 for d in diags)
 
 
+def test_strategy_file_error_starts_with_the_path(tmp_path):
+    path = tmp_path / "bad.strat"
+    path.write_text(GOOD.replace("transmit 0.5", "transmit 1.5"))
+    with pytest.raises(StrategyParseError) as err:
+        load_strategy_file(path)
+    assert str(err.value).startswith(f"{path}:5:18: error: transmit probability 1.5")
+    assert err.value.diagnostics == _errors_of(path.read_text())
+
+
 def test_unknown_target_state():
     bad = GOOD.replace("on T f=1 -> b", "on T f=1 -> zz")
     assert any("undefined state 'zz'" in d.message for d in _errors_of(bad))

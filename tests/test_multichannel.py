@@ -22,6 +22,7 @@ from slotmac.capture import GroupSplittingPolicy, simulate_capture
 from slotmac.multichannel import (
     DEFAULT_THREE_USER_PARAMS,
     MAX_CHANNELS,
+    MAX_GRID,
     followup_transmitter,
     followup_will_transmit,
     resolve_multichannel,
@@ -193,6 +194,27 @@ def test_optimizer_finds_reference_optima():
     assert opt.full.value < opt.independent.value
     d = opt.to_json_dict()
     assert d["full"]["value"] == pytest.approx(opt.full.value)
+
+
+def test_optimizer_tolerance_below_float_spacing_returns():
+    # golden-section tolerances of step * 1e-4 fall below the float spacing
+    # of the bracket here, which used to hang the polish
+    opt = optimize_three_user_two_channel(grid=21, tol=1e-12)
+    assert opt.full.params == pytest.approx((0.5, 0.0, 1.0), abs=1e-9)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_optimizer_rejects_a_tolerance_it_cannot_stop_at(tol):
+    # tol <= 0 used to loop forever and nan to skip the polish silently
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        optimize_three_user_two_channel(grid=21, tol=tol)
+
+
+@pytest.mark.parametrize("grid", [10, MAX_GRID + 1])
+def test_optimizer_rejects_grids_out_of_range(grid):
+    # the scan holds grid^3 points; the bound is checked before any allocation
+    with pytest.raises(ValueError, match=f"need 11 <= grid <= {MAX_GRID}, got {grid}"):
+        optimize_three_user_two_channel(grid=grid)
 
 
 def test_optimizer_values_are_self_consistent():

@@ -6,10 +6,11 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from slotmac.optimize import SCREEN_SLACK, scan_then_golden
+from slotmac.optimize import SCREEN_SLACK, golden_section, scan_then_golden
 
 from conftest import scalar_scan_then_golden
 
@@ -81,3 +82,16 @@ def test_tied_grid_minimum_goes_to_the_first_point():
     assert visited[:5] == xs[3:8]
     assert not on_grid.keys() & set(visited[5:])
     assert scan_then_golden(f, 0.0, 1.0, 11, tol=1e-6) == (xs[3], 0.2)
+
+
+def test_golden_section_below_float_spacing_returns():
+    # a tol under the spacing of floats near 0.3 used to loop forever
+    x, fx = golden_section(lambda x: (x - 0.3) ** 2, 0.0, 1.0, tol=1e-17)
+    assert x == pytest.approx(0.3, abs=1e-15)
+    assert fx <= 1e-30
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_golden_section_rejects_a_tolerance_it_cannot_stop_at(tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        golden_section(lambda x: (x - 0.3) ** 2, 0.0, 1.0, tol=tol)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from slotmac import (
     run_games,
     run_tournament,
 )
+from slotmac import tournament
 from slotmac.strategies import DEFAULT_LINEUP
 
 
@@ -36,9 +38,57 @@ def lineup_matrix():
 def test_jobs_do_not_change_numbers():
     config = _config(runs=800)
     serial = run_tournament(config, jobs=1)
-    threaded = run_tournament(config, jobs=4)
-    assert (serial.mean == threaded.mean).all()
-    assert (serial.stderr == threaded.stderr).all()
+    for jobs in (3, 4):
+        threaded = run_tournament(config, jobs=jobs)
+        assert (serial.mean == threaded.mean).all()
+        assert (serial.stderr == threaded.stderr).all()
+
+
+def _threads_playing(monkeypatch, jobs):
+    """The threads that play the pairings of a 2-entrant tournament (3
+    pairings) run at ``jobs``."""
+    threads = []
+    original = tournament.run_games
+
+    def recorded(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tournament, "run_games", recorded)
+    run_tournament(_config(names=("four_state", "tft1"), horizon=10, runs=50), jobs=jobs)
+    assert len(threads) == 3
+    return threads
+
+
+def test_one_job_plays_every_pairing_on_the_calling_thread(monkeypatch):
+    assert set(_threads_playing(monkeypatch, 1)) == {threading.current_thread()}
+
+
+def test_no_more_threads_than_pairings(monkeypatch):
+    threads = _threads_playing(monkeypatch, 8)
+    assert threading.current_thread() in threads
+    assert len(set(threads)) <= 3
+
+
+@pytest.mark.parametrize("failing", ["pool thread", "calling thread"])
+def test_exception_in_a_pairing_propagates(failing, monkeypatch):
+    both_started = threading.Barrier(2, timeout=30)
+    original = tournament.run_games
+
+    def run_games(*args, pairing, **kwargs):
+        # with 2 workers the calling thread plays (0, 0) then (1, 1) and the
+        # pool thread (0, 1); (0, 0) and (0, 1) wait for each other, so both
+        # threads are running before either fails
+        if pairing != (1, 1):
+            both_started.wait()
+        on_caller = threading.current_thread() is threading.main_thread()
+        if on_caller == (failing == "calling thread"):
+            raise RuntimeError(f"pairing {pairing} failed")
+        return original(*args, pairing=pairing, **kwargs)
+
+    monkeypatch.setattr(tournament, "run_games", run_games)
+    with pytest.raises(RuntimeError, match=r"pairing \(0, [01]\) failed"):
+        run_tournament(_config(names=("four_state", "tft1"), horizon=10, runs=50), jobs=2)
 
 
 def test_cells_are_shared_pairing_runs(lineup_matrix):
