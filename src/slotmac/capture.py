@@ -21,11 +21,14 @@ objective, then runs the exact scalar ``capture_objective`` only at the
 grid points the screen cannot rule out and inside the golden-section
 polish: about 34 O(n) Python calls a stage instead of 1,032, so a table is
 O(n^2) Python work rather than O(n^3).  The binomial weights are built once
-a stage (``_weights``) and shared by the screen and the scalar calls.  The
-screen only picks the points the scalar code visits, so every p_n and z_n
-is the scalar code's number (see ``optimize``).  On a 2-core host n = 100
-takes about 0.15 s and n = 300 about 1.4 s.  The solver stops at ``MAX_USERS`` = 1027, the largest
-n for which C(n, n // 2) * e is a finite float, so that every weight
+a stage (``_weights``) from Pascal's row n, itself row n - 1 plus exact
+integer additions, and shared by the screen and the scalar calls.  The
+screen takes each term in log space, exp(log w_i + i log p + (n-i) log q),
+and only picks the points the scalar code visits, so every p_n and z_n is
+the scalar code's number (see ``optimize``).  On a 2-core host n = 100
+takes about 0.1 s, n = 300 about 1 s and n = 1027 about 16 s.  The solver
+stops at ``MAX_USERS`` = 1027, the largest n for which C(n, n // 2) * e
+is a finite float, so that every weight
 min(z_i, z_{n-i}) C(n, i) with z <= e is finite; larger n raises
 ``ValueError``.
 
@@ -51,6 +54,7 @@ censored: counted in ``SimSummary.censored`` and left out of the mean.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import asdict, dataclass
 from typing import Callable
@@ -58,7 +62,7 @@ from typing import Callable
 import numpy as np
 
 from .game import TRANSMIT, CapturePolicy, policy_prob, policy_side
-from .optimize import scan_then_golden
+from .optimize import check_tol, scan_then_golden
 from .rng import DOMAIN_CAPTURE, DOMAIN_MISC, RngStream, run_units
 
 SCAN_POINTS = 999  # dense scan over p in {0.001, ..., 0.999}
@@ -114,11 +118,14 @@ def capture_objective(n: int, p: float, z_prefix, weights: list[float] | None = 
     return numer / (1.0 - p**n - q**n)
 
 
-def _weights(n: int, z_prefix) -> list[float]:
-    """min(z_i, z_{n-i}) C(n, i) for 2 <= i < n.  ``float * int`` rounds the
-    int to a double before multiplying, so w_i * p**i * q**(n-i) has the
-    bits of min(z_i, z_{n-i}) * C(n, i) * p**i * q**(n-i)."""
-    return [min(z_prefix[i], z_prefix[n - i]) * math.comb(n, i) for i in range(2, n)]
+def _weights(n: int, z_prefix, row: list[int] | None = None) -> list[float]:
+    """min(z_i, z_{n-i}) C(n, i) for 2 <= i < n, with C(n, i) = ``row[i]``
+    when the caller has Pascal's row n.  ``float * int`` rounds the int to a
+    double before multiplying, so w_i * p**i * q**(n-i) has the bits of
+    min(z_i, z_{n-i}) * C(n, i) * p**i * q**(n-i)."""
+    if row is None:
+        row = [math.comb(n, i) for i in range(n + 1)]
+    return [min(z_prefix[i], z_prefix[n - i]) * row[i] for i in range(2, n)]
 
 
 def solve_capture_table(n_max: int, tol: float = 1e-9) -> CaptureTable:
@@ -131,10 +138,13 @@ def solve_capture_table(n_max: int, tol: float = 1e-9) -> CaptureTable:
     """
     if not 1 <= n_max <= MAX_USERS:
         raise ValueError(f"n_max must be between 1 and {MAX_USERS}")
+    check_tol(tol)
     probs = [math.nan, 1.0]
     values = [math.nan, 1.0]
+    row = [1, 1]
     for n in range(2, n_max + 1):
-        weights = _weights(n, values)
+        row = [1, *map(operator.add, row, row[1:]), 1]  # exact ints: C(n, i) = C(n-1, i-1) + C(n-1, i)
+        weights = _weights(n, values, row)
         # weights go positionally: call-counting wrappers of
         # capture_objective forward positional arguments only
         p, z = scan_then_golden(
@@ -148,15 +158,16 @@ def solve_capture_table(n_max: int, tol: float = 1e-9) -> CaptureTable:
 
 def _screen(n: int, weights: list[float]) -> Callable[[np.ndarray], np.ndarray]:
     """``capture_objective(n, ., z_prefix, weights)`` over an array of p at
-    once.  It agrees with the scalar sum to a few ulps (numpy sums pairwise
-    and its pow may round differently), far inside
-    ``optimize.SCREEN_SLACK`` / 2."""
+    once, each term taken in log space as exp(log w_i + i log p + (n-i) log q).
+    It agrees with the scalar sum to a few 1e-12 up to ``MAX_USERS``, far
+    inside ``optimize.SCREEN_SLACK`` / 2."""
     i = np.arange(2, n)
-    w = np.array(weights, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        log_w = np.log(np.array(weights, dtype=np.float64))
 
     def screen(p: np.ndarray) -> np.ndarray:
         q = 1.0 - p
-        terms = w * p[:, None] ** i * q[:, None] ** (n - i)
+        terms = np.exp(log_w + i * np.log(p)[:, None] + (n - i) * np.log(q)[:, None])
         return (1.0 + terms.sum(axis=1)) / (1.0 - p**n - q**n)
 
     return screen
@@ -331,7 +342,7 @@ def simulate_virtual_pair(episodes: int, seed: int, max_slots: int = 10_000) -> 
 
     def step(gen, state, open_count):
         packets = gen.integers(0, 2, size=(open_count, 2))
-        return packets.sum(axis=1) == 1, None, None
+        return packets[:, 0] != packets[:, 1], None, None
 
     return _stopping_times(lambda chunk: RngStream(seed, (DOMAIN_MISC, 2)), episodes, step,
                            max_slots=max_slots, chunk_size=episodes)
@@ -360,6 +371,15 @@ def _relaxation_feasible(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return (a >= 0) & (c >= 0) & (b >= 0) & (a**3 + b**3 + c**3 <= 0.75)
 
 
+def _relaxation_grid(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The relaxation at every (a[i], c[j]), inf where infeasible.  The
+    sparse grid broadcasts the a- and c-factors instead of repeating them,
+    with the same operations on every element as a dense one."""
+    A, C = np.meshgrid(a, c, indexing="ij", sparse=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(_relaxation_feasible(A, C), three_user_relaxation(A, C), math.inf)
+
+
 def minimize_three_user_relaxation() -> tuple[float, float, float]:
     """Infimum of the relaxation over its feasible set, by grid scan and
     repeated zooming.  Returns (a, c, value)."""
@@ -368,12 +388,10 @@ def minimize_three_user_relaxation() -> tuple[float, float, float]:
     for _ in range(RELAXATION_ZOOMS):
         a = np.linspace(lo_a, hi_a, RELAXATION_GRID)
         c = np.linspace(lo_c, hi_c, RELAXATION_GRID)
-        A, C = np.meshgrid(a, c, indexing="ij")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            value = np.where(_relaxation_feasible(A, C), three_user_relaxation(A, C), math.inf)
+        value = _relaxation_grid(a, c)
         i, j = np.unravel_index(np.argmin(value), value.shape)
         if value[i, j] < best[2]:
-            best = (float(A[i, j]), float(C[i, j]), float(value[i, j]))
+            best = (float(a[i]), float(c[j]), float(value[i, j]))
         span_a = (hi_a - lo_a) / (RELAXATION_GRID - 1)
         span_c = (hi_c - lo_c) / (RELAXATION_GRID - 1)
         lo_a, hi_a = max(0.0, best[0] - span_a), min(1.0, best[0] + span_a)
@@ -448,8 +466,14 @@ def converse_checks(
     """
     if table.n_max < 3:
         raise ValueError("the converse evidence needs the table up to n = 3")
-    virtual = simulate_virtual_pair(episodes, seed)
-    a, c, value = minimize_three_user_relaxation()
+    # two independent units; the virtual pair is unit 0, on the calling thread
+    parts: list = [None, None]
+
+    def run(unit: int) -> None:
+        parts[unit] = simulate_virtual_pair(episodes, seed) if unit == 0 else minimize_three_user_relaxation()
+
+    run_units(2, run, _usable_cpus())
+    virtual, (a, c, value) = parts
     bounds = tuple(
         (n, table.values[n], capture_upper_bound(n)) for n in range(2, table.n_max + 1)
     )

@@ -410,7 +410,10 @@ class _ManifestOptions(dict):
 def _run_replay(args: argparse.Namespace) -> int:
     if args.jobs is not None and args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    manifest = json.loads(args.manifest.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(args.manifest.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{args.manifest}: manifest is not JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise ValueError(f"{args.manifest}: manifest is not a JSON object")
     if "command" not in manifest:

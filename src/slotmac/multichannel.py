@@ -148,7 +148,17 @@ def _z_full(p: float, q: float, r: float) -> float:
     return renewal_value(beta_theta_full(p, q, r))
 
 
-MAX_GRID = 201  # the full-family scan holds grid^3 points at about 64 B each: ~0.5 GB peak at 201
+MAX_GRID = 201  # the full-family scan holds grid^3 points at about 40 B each: ~350 MB peak RSS at 201
+
+
+def _z_grid(xs: np.ndarray) -> np.ndarray:
+    """The renewal value at every (xs[i], xs[j], xs[k]), inf where beta is
+    within 1e-9 of 1.  The sparse grid computes each one-axis factor once
+    and broadcasts it, with the same operations on every element as a dense
+    grid."""
+    beta, theta = _beta_theta_poly(*np.meshgrid(xs, xs, xs, indexing="ij", sparse=True))
+    z = np.full(beta.shape, math.inf)
+    return np.divide(1.0 + theta, 1.0 - beta, out=z, where=beta < 1.0 - 1e-9)
 
 
 def optimize_three_user_two_channel(grid: int = 101, tol: float = 1e-6) -> ThreeUserOptimum:
@@ -163,10 +173,7 @@ def optimize_three_user_two_channel(grid: int = 101, tol: float = 1e-6) -> Three
         raise ValueError(f"need 11 <= grid <= {MAX_GRID}, got {grid}")
     check_tol(tol)
     xs = np.linspace(0.0, 1.0, grid)
-    beta, theta = _beta_theta_poly(*np.meshgrid(xs, xs, xs, indexing="ij"))
-    z = np.full(beta.shape, math.inf)
-    ok = beta < 1.0 - 1e-9
-    z[ok] = (1.0 + theta[ok]) / (1.0 - beta[ok])
+    z = _z_grid(xs)
     i, j, k = np.unravel_index(np.argmin(z), z.shape)
     point = [float(xs[i]), float(xs[j]), float(xs[k])]
     value = float(z[i, j, k])
@@ -315,8 +322,9 @@ def simulate_three_user_two_channel(
 
     def step(gen, state, open_count):
         codes = _draw_codes(gen, cum, open_count, 3)
-        c1 = (codes & 1).sum(axis=1)
-        c2 = ((codes >> 1) & 1).sum(axis=1)
+        bit1, bit2 = codes & 1, (codes >> 1) & 1
+        c1 = bit1[:, 0] + bit1[:, 1] + bit1[:, 2]
+        c2 = bit2[:, 0] + bit2[:, 1] + bit2[:, 2]
         capture = (c1 == 1) | (c2 == 1)
         same = (codes[:, 0] == codes[:, 1]) & (codes[:, 1] == codes[:, 2])
         return capture, ~capture & ~same, None

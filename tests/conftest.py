@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the production code paths they check:
 the self-play value is recomputed by a joint-state dynamic program over
 exact rationals and by brute force through the batch engine, the capture
-table by the full scalar scan without the numpy screen, and random
-machines are built straight from dicts rather than through the parser.
+table by the full scalar scan without the numpy screen, the grid scans on
+dense meshgrids, and random machines are built straight from dicts rather
+than through the parser.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ import pytest
 
 from slotmac import StrategyMachine, capture_objective, solve_capture_table
 from slotmac.batch import CHUNK_SIZE, CompiledMachine, GameBatch, compile_machine, run_games_with_uniforms
-from slotmac.capture import SCAN_POINTS, CaptureTable
+from slotmac.capture import SCAN_POINTS, CaptureTable, _relaxation_feasible, three_user_relaxation
 from slotmac.dsl import StateSpec
+from slotmac.multichannel import _beta_theta_poly
 from slotmac.optimize import golden_section
 from slotmac.rng import DOMAIN_GAME, RngStream
 
@@ -145,6 +147,24 @@ def scalar_capture_table(n_max: int, tol: float = 1e-9) -> CaptureTable:
         probs.append(p)
         values.append(z)
     return CaptureTable(tuple(probs[: n_max + 1]), tuple(values[: n_max + 1]))
+
+
+def dense_z_grid(xs: np.ndarray) -> np.ndarray:
+    """The full-family renewal value on a dense grid^3 meshgrid, filled by
+    masked gathers: every polynomial factor evaluated at every point."""
+    beta, theta = _beta_theta_poly(*np.meshgrid(xs, xs, xs, indexing="ij"))
+    z = np.full(beta.shape, math.inf)
+    ok = beta < 1.0 - 1e-9
+    z[ok] = (1.0 + theta[ok]) / (1.0 - beta[ok])
+    return z
+
+
+def dense_relaxation_grid(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The three-user relaxation on a dense (a, c) meshgrid, inf where
+    infeasible."""
+    A, C = np.meshgrid(a, c, indexing="ij")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(_relaxation_feasible(A, C), three_user_relaxation(A, C), math.inf)
 
 
 def random_machine(

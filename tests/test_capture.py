@@ -23,13 +23,16 @@ from slotmac import (
 from slotmac import capture
 from slotmac.capture import (
     MAX_USERS,
+    SCAN_POINTS,
     capture_upper_bound,
     minimize_three_user_relaxation,
     simulate_virtual_pair,
     three_user_relaxation,
 )
+from slotmac.cli import _json_text
+from slotmac.optimize import SCREEN_SLACK
 
-from conftest import scalar_capture_table
+from conftest import dense_relaxation_grid, scalar_capture_table
 
 # reference solution of the recursion, one row per group size
 REFERENCE = {
@@ -91,6 +94,14 @@ def test_solver_input_validation():
         solve_capture_table(0)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_solver_rejects_a_bad_tolerance_before_any_stage(tol):
+    # with n_max = 1 no stage runs, so the golden-section check never saw tol
+    for n_max in (1, 3):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            solve_capture_table(n_max, tol)
+
+
 def test_screened_solver_matches_scalar_scan():
     # the numpy screen only decides which grid points the scalar objective
     # visits, so the table is the full scalar scan's, bit for bit
@@ -117,6 +128,24 @@ def test_solver_digest_n100():
     table = solve_capture_table(100)
     digest = hashlib.sha256(repr((table.probs, table.values)).encode()).hexdigest()
     assert digest == "dd11d9dfa8e122f33f33ac7bb94894d3356993f08499f529216bda44ad17855e"
+
+
+def test_solver_digest_n300():
+    # recorded from the math.comb weights and the power-form screen
+    table = solve_capture_table(300)
+    digest = hashlib.sha256(repr((table.probs, table.values)).encode()).hexdigest()
+    assert digest == "f03699f9a4d35bec8d6023dbf7ce47ad1fd17793e98706a2935e65998a551d1b"
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 100, 300, MAX_USERS])
+def test_screen_within_half_slack_of_the_objective(n, capture_table):
+    # the contract under which the screen changes no bit of the table
+    z = list(capture_table.values) + [math.e] * MAX_USERS
+    weights = capture._weights(n, z)
+    step = (0.999 - 0.001) / (SCAN_POINTS - 1)
+    xs = [0.001 + i * step for i in range(SCAN_POINTS)]
+    exact = np.array([capture_objective(n, x, z, weights) for x in xs])
+    assert np.max(np.abs(capture._screen(n, weights)(np.array(xs)) - exact)) < SCREEN_SLACK / 2
 
 
 def test_solver_evaluates_few_scalar_points(monkeypatch):
@@ -343,6 +372,15 @@ def test_relaxation_objective_spot_values(capture_table):
     assert 0 < a < 1
 
 
+@pytest.mark.parametrize("window", [(0.0, 1.0, 0.0, 1.0), (0.5855, 0.5905, 0.0, 0.0025)], ids=["square", "zoom"])
+def test_relaxation_grid_matches_dense_oracle_bit_for_bit(window):
+    lo_a, hi_a, lo_c, hi_c = window
+    a = np.linspace(lo_a, hi_a, capture.RELAXATION_GRID)
+    c = np.linspace(lo_c, hi_c, capture.RELAXATION_GRID)
+    value = capture._relaxation_grid(a, c)
+    assert np.array_equal(value.view(np.int64), dense_relaxation_grid(a, c).view(np.int64))
+
+
 def test_relaxation_feasible_region():
     from slotmac.capture import _relaxation_feasible
 
@@ -376,3 +414,11 @@ def test_converse_report(capture_table):
     d = rep.to_json_dict()
     assert d["relaxation"]["value"] == pytest.approx(rep.relaxation_value)
     assert all(row["z"] <= row["e"] for row in d["bounds"])
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_converse_bytes_independent_of_worker_count(cpus, capture_table, monkeypatch):
+    # recorded with the virtual pair and the relaxation run one after the other
+    monkeypatch.setattr(capture, "_usable_cpus", lambda: cpus)
+    text = _json_text(converse_checks(capture_table, episodes=70_000, seed=3).to_json_dict())
+    assert hashlib.sha256(text.encode()).hexdigest() == "71fde5c88948a51a45c349a0e1f13b11f09dabbb68026576b31c4d4abb7c4172"

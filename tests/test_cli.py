@@ -463,11 +463,14 @@ def test_fixed_p_simulation_past_solver_limit_allowed(capsys, tmp_path):
     [
         ["capture", "solve", "--n-max", "3"],
         ["multichannel", "optimize", "--grid", "21"],
+        ["capture", "solve", "--n-max", "1"],
     ],
 )
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 def test_solver_tolerance_out_of_range_exit_one(argv, tol, capsys, tmp_path):
-    # --tol 0 and -1 used to hang, and nan to print an unpolished grid point
+    # --tol 0 and -1 used to hang, and nan to print an unpolished grid point;
+    # with --n-max 1, which solves no stage, -1 used to exit 0 and nan to
+    # write the table and then fail on the manifest
     code, _, err = run(argv + ["--tol", tol, "--out-dir", str(tmp_path / "out")], capsys)
     assert code == 1
     assert "tol must be finite and positive" in err
@@ -514,4 +517,15 @@ def test_replay_malformed_manifest_exit_one(manifest, message, capsys, tmp_path)
     code, _, err = run(["replay", str(path), "--out-dir", str(tmp_path / "out")], capsys)
     assert code == 1
     assert f"{path}: {message}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", ["", '{"command": "capture solve", "opt'], ids=["empty", "truncated"])
+def test_replay_manifest_not_json_names_the_path(text, capsys, tmp_path):
+    # the decoder's message used to come without the manifest's path
+    path = tmp_path / "manifest.json"
+    path.write_text(text)
+    code, _, err = run(["replay", str(path), "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert err.startswith(f"slotmac: error: {path}: manifest is not JSON: ")
     assert not (tmp_path / "out").exists()

@@ -19,10 +19,13 @@ from slotmac import (
     two_user_capture_time,
 )
 from slotmac.capture import GroupSplittingPolicy, simulate_capture
+
+from conftest import dense_z_grid
 from slotmac.multichannel import (
     DEFAULT_THREE_USER_PARAMS,
     MAX_CHANNELS,
     MAX_GRID,
+    _z_grid,
     followup_transmitter,
     followup_will_transmit,
     resolve_multichannel,
@@ -215,6 +218,13 @@ def test_optimizer_rejects_grids_out_of_range(grid):
     # the scan holds grid^3 points; the bound is checked before any allocation
     with pytest.raises(ValueError, match=f"need 11 <= grid <= {MAX_GRID}, got {grid}"):
         optimize_three_user_two_channel(grid=grid)
+
+
+@pytest.mark.parametrize("grid", [11, 21, 41])
+def test_sparse_z_grid_matches_dense_oracle_bit_for_bit(grid):
+    # broadcasting the one-axis factors must not move a bit of any grid point
+    xs = np.linspace(0.0, 1.0, grid)
+    assert np.array_equal(_z_grid(xs).view(np.int64), dense_z_grid(xs).view(np.int64))
 
 
 def test_optimizer_values_are_self_consistent():
