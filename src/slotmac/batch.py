@@ -6,11 +6,12 @@ every chunk draws from a stream named by (master seed, pairing, chunk
 index, player), so results are byte-identical however the chunks are
 scheduled across threads.  A player transmits when its uniform u is below
 its state's probability p, and u lies in [0, 1), so only a p strictly
-between 0 and 1 reads u.  A player whose every probability is 0 or 1 (a
-deterministic player) therefore gets no stream and draws nothing, and when
-both players are deterministic every game is the same game, played once.
-Any other player draws one uniform per slot per game, so no draw that a
-game reads moves.  The scalar engine still draws every slot.
+between 0 and 1 reads u.  A state is closed when every state it can reach
+has p 0 or 1.  A player draws one uniform per slot per game, from a stream
+built on its first draw, until every game of the chunk has it closed; once
+both are, a game's future is fixed by its joint state, and one game per
+distinct joint state is played.  No draw a game reads moves; the scalar
+engine still draws every slot.
 
 Every machine plays from one state table (``CompiledMachine``).  The
 foreign-opponent shadow of a last-slot-override machine is folded into
@@ -129,40 +130,52 @@ class GameBatch:
     first_success: np.ndarray
 
 
-def _tables(m: CompiledMachine, moves) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """One player's engine tables, state ids times 4: ``probs`` and
-    ``last_probs`` repeated 4 times, the step table and the start.
-    ``step[4 * s + k]`` is 4 times the successor of state s under the slot
-    move k = 2 * xa + xb, which this player sees as ``moves[k]`` = (own
-    action, feedback).  An undefined successor (-1) becomes 4N, past the
-    end of every table, so the next slot's ``take`` raises."""
+def _tables(m: CompiledMachine, moves) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """One player's engine tables, state ids times 4: ``probs``,
+    ``last_probs`` and ``closed`` repeated 4 times, the step table and the
+    start.  ``step[4 * s + k]`` is 4 times the successor of state s under
+    the slot move k = 2 * xa + xb, which this player sees as ``moves[k]`` =
+    (own action, feedback).  An undefined successor (-1) becomes 4N, past
+    the end of every table, so the next slot's ``take`` raises.  State s is
+    closed when every state reachable from it plays p 0 or 1 on any slot."""
     actions, feedback = zip(*moves)
     succ = m.trans[:, actions, feedback].astype(np.intp)
     succ[succ < 0] = len(succ)
-    return np.repeat(m.probs, 4), np.repeat(m.last_probs, 4), (4 * succ).ravel(), 4 * m.start
+    closed = np.append(np.isin(m.probs, (0, 1)) & np.isin(m.last_probs, (0, 1)), True)  # entry N: undefined
+    while (opened := closed[:-1] & ~closed[succ].all(axis=1)).any():  # to the greatest fixed point
+        closed[:-1] &= ~opened
+    return np.repeat(m.probs, 4), np.repeat(m.last_probs, 4), (4 * succ).ravel(), np.repeat(closed[:-1], 4), 4 * m.start
 
 
-def _deterministic(m: CompiledMachine) -> bool:
-    """Whether every probability m can play, final slot included, is
-    exactly 0 or 1, so that no uniform can change its move."""
-    p = np.concatenate((m.probs, m.last_probs))
-    return bool(((p == 0.0) | (p == 1.0)).all())
-
-
-def _play_chunk(ta, tb, horizon: int, n: int, uniforms) -> GameBatch:
-    """Run n games between the players whose ``_tables`` are ta and tb.
+def _play_chunk(ta, tb, horizon: int, n: int, uniforms, first: int = 1, states=None) -> GameBatch:
+    """Run n games between the players whose ``_tables`` are ta and tb, from
+    slot ``first`` and the joint ``states`` (default the starts) on.
     ``uniforms(player, t)`` must return the n uniform draws for that player
-    and slot, or one float every game shares; it is called in slot order,
-    player 0 then player 1."""
-    probs_a, last_a, step_a, start_a = ta
-    probs_b, last_b, step_b, start_b = tb
-    sa, sb = np.full(n, start_a, dtype=np.intp), np.full(n, start_b, dtype=np.intp)
-    score_a, score_b, lead = (np.zeros(n, dtype=np.int32) for _ in range(3))  # lead: slots before a solo success
+    and slot; it is called in slot order, player 0 then player 1, while
+    some game has that player outside its closed states."""
+    probs_a, last_a, step_a, closed_a, start_a = ta
+    probs_b, last_b, step_b, closed_b, start_b = tb
+    sa, sb = states or (np.full(n, start_a, dtype=np.intp), np.full(n, start_b, dtype=np.intp))
+    score_a, score_b, lead = (np.full(n, v, dtype=np.int32) for v in (0, 0, first - 1))  # lead: slots before a solo success
+    draw_a = draw_b = uniforms is not None
+    # decided once: a player with no closed state is never checked
+    watch_a, watch_b = draw_a and closed_a.any(), draw_b and closed_b.any()
     try:
-        for t in range(1, horizon + 1):
+        for t in range(first, horizon + 1):
+            if watch_a and closed_a.take(sa).all():
+                watch_a = draw_a = False
+            if watch_b and closed_b.take(sb).all():
+                watch_b = draw_b = False
+            if uniforms is not None and not (draw_a or draw_b):  # the rest is fixed by the joint state
+                w = len(probs_b) + 1  # sb may be 4N_b, an undefined successor
+                codes, inverse = np.unique(sa * w + sb, return_inverse=True)
+                tail = _play_chunk(ta, tb, horizon, len(codes), None, t, (codes // w, codes % w))
+                score_a += tail.scores_a[inverse]
+                score_b += tail.scores_b[inverse]
+                return GameBatch(score_a, score_b, np.where(lead < t - 1, lead + 1, tail.first_success[inverse]))
             final = t == horizon
-            xa = uniforms(0, t) < (last_a if final else probs_a).take(sa)
-            xb = uniforms(1, t) < (last_b if final else probs_b).take(sb)
+            xa = (uniforms(0, t) if draw_a else 0.0) < (last_a if final else probs_a).take(sa)
+            xb = (uniforms(1, t) if draw_b else 0.0) < (last_b if final else probs_b).take(sb)
             move = 2 * xa.view(np.uint8)
             move |= xb.view(np.uint8)
             score_a += move == 2
@@ -197,21 +210,18 @@ def run_games(
         raise ValueError("horizon must be below 2**31 and runs >= 0")
     ca, cb = compile_machine(machine_a), compile_machine(machine_b)
     ta, tb = _tables(ca, _MOVES), _tables(cb, _MOVES_B)
-    # a deterministic player's stream has no other reader, so skipping it
-    # moves no other draw; 0.0 < p is the move any u in [0, 1) gives it
-    drawn = [player for player, m in enumerate((ca, cb)) if not _deterministic(m)]
-    if not drawn and runs:  # every game is the same game
-        game = _play_chunk(ta, tb, horizon, 1, lambda player, t: 0.0)
-        return GameBatch(*(a.repeat(runs) for a in (game.scores_a, game.scores_b, game.first_success)))
     out = GameBatch(*(np.zeros(runs, dtype=np.int32) for _ in range(3)))
     for chunk, lo in enumerate(range(0, runs, CHUNK_SIZE)):
         hi = min(lo + CHUNK_SIZE, runs)
         n = hi - lo
-        gens = {
-            player: RngStream(seed, (DOMAIN_GAME, pairing[0], pairing[1], chunk, player)).generator()
-            for player in drawn
-        }
-        batch = _play_chunk(ta, tb, horizon, n, lambda player, t: gens[player].random(n) if player in gens else 0.0)
+        gens = {}  # a player's stream is built on its first draw, so a closed one has none
+
+        def draw(player: int, t: int) -> np.ndarray:
+            if player not in gens:
+                gens[player] = RngStream(seed, (DOMAIN_GAME, pairing[0], pairing[1], chunk, player)).generator()
+            return gens[player].random(n)
+
+        batch = _play_chunk(ta, tb, horizon, n, draw)
         out.scores_a[lo:hi] = batch.scores_a
         out.scores_b[lo:hi] = batch.scores_b
         out.first_success[lo:hi] = batch.first_success

@@ -39,8 +39,8 @@ class RngStream:
     stream: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if any(s < 0 for s in self.stream):
-            raise ValueError("stream id components must be non-negative")
+        if self.seed < 0 or any(s < 0 for s in self.stream):
+            raise ValueError(f"seed {self.seed} and stream id {self.stream} must be non-negative")
 
     def generator(self) -> np.random.Generator:
         """A fresh generator positioned at the start of this stream.

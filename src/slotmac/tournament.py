@@ -46,6 +46,8 @@ class TournamentConfig:
         object.__setattr__(self, "horizon", check_horizon(self.horizon))
         if self.runs < 1:
             raise ValueError("runs must be positive")
+        if self.seed < 0:  # a deterministic lineup builds no stream to reject it
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @classmethod
     def from_machines(cls, machines: dict[str, StrategyMachine], **kwargs) -> "TournamentConfig":

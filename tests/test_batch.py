@@ -2,8 +2,10 @@
 pairing's draws pinned exactly, move-for-move agreement with the scalar
 engine on random override machines, the int16 limit on state ids and the
 failure on a hand-built table with a reachable undefined move.  A player
-whose every probability is 0 or 1 draws nothing and two such players play
-one game; the results still equal those of a full draw for every player."""
+draws only until every game has it in closed states (whose whole future
+plays probability 0 or 1), and once both players are closed each distinct
+joint state is played out once; the results still equal those of a full
+draw for every player, and those of the scalar engine game by game."""
 
 from __future__ import annotations
 
@@ -379,3 +381,134 @@ def test_probability_next_to_0_or_1_still_draws(field, near, streams):
     assert streams == []
     run_games(dataclasses.replace(table, **{field: np.full_like(fixed, near)}), builtin("tft0"), 3, 10, seed=3)
     assert streams == [(DOMAIN_GAME, 0, 0, 0, 0)]
+
+
+# the closed-tail fast-forward: once every game has a player in states
+# whose whole future plays probability 0 or 1, that player stops drawing,
+# and once both have, one game per distinct joint state is played out
+
+BENCH_PAIRS = [(a, b) for i, a in enumerate(BUILTIN_NAMES) for b in BUILTIN_NAMES[i:]]
+
+
+@pytest.mark.parametrize("a, b", BENCH_PAIRS)
+def test_fast_forward_changes_no_game(a, b):
+    # the 65,536-game chunk closes late, the 5-game chunk early
+    pairing = (BUILTIN_NAMES.index(a), BUILTIN_NAMES.index(b))
+    args = (builtin(a), builtin(b), 40, CHUNK_SIZE + 5)
+    got = run_games(*args, seed=13, pairing=pairing)
+    assert _digest(got) == _digest(full_draw_run_games(*args, seed=13, pairing=pairing))
+
+
+def _coin_head_machine(rng, override: bool) -> StrategyMachine:
+    # coin states that may move anywhere, then deterministic states that
+    # only move among themselves; the start is a coin state
+    head, tail = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    ids = [str(i) for i in range(head + tail)]
+    states = {}
+    for i, sid in enumerate(ids):
+        p = float(np.round(rng.uniform(0.05, 0.95), 3)) if i < head else float(rng.integers(0, 2))
+        targets = ids if i < head else ids[head:]
+        actions = [a for a, possible in ((1, p > 0), (0, p < 1)) if possible]
+        states[sid] = StateSpec(p, {(a, f): targets[int(rng.integers(len(targets)))] for a in actions for f in (a, a + 1)})
+    return StrategyMachine("head", ids[0], states, last_slot_override=override)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    horizon=st.integers(1, 60),
+    override=st.sampled_from(["", "a", "b", "both"]),
+)
+def test_fast_forward_matches_scalar_on_coin_heads(seed, horizon, override):
+    rng = np.random.default_rng(seed)
+    ma = _coin_head_machine(rng, override in ("a", "both"))
+    mb = _coin_head_machine(rng, override in ("b", "both"))
+    ua, ub = rng.random((12, horizon)), rng.random((12, horizon))
+    batch = run_games_with_uniforms(ma, mb, ua, ub)
+    for g in range(len(ua)):
+        t = play_game(ma, mb, horizon, ReplayStream(ua[g]), ReplayStream(ub[g]))
+        assert t.scores == (batch.scores_a[g], batch.scores_b[g]), g
+        assert batch.first_success[g] == (t.first_success or 0), g
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), override=st.booleans())
+def test_closed_states_are_those_that_reach_no_coin(seed, override):
+    compiled = compile_machine(random_machine(np.random.default_rng(seed), override=override))
+    coin = {s for s in range(len(compiled.probs)) if {compiled.probs[s], compiled.last_probs[s]} - {0.0, 1.0}}
+    closed = batch_module._tables(compiled, batch_module._MOVES)[3][::4]
+    for s in range(len(compiled.probs)):
+        seen, todo = {s}, [s]
+        while todo:
+            for nxt in compiled.trans[todo.pop()].ravel():
+                if nxt >= 0 and int(nxt) not in seen:
+                    seen.add(int(nxt))
+                    todo.append(int(nxt))
+        assert closed[s] == (not seen & coin), s
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """How many times each stream run_games builds is drawn from."""
+    counts = {}
+
+    class CountingStream(batch_module.RngStream):
+        def generator(self):
+            gen, stream = super().generator(), self.stream
+            counts[stream] = 0
+
+            class Counting:
+                def random(self, size):
+                    counts[stream] += 1
+                    return gen.random(size)
+
+            return Counting()
+
+    monkeypatch.setattr(batch_module, "RngStream", CountingStream)
+    return counts
+
+
+def test_closed_player_stops_drawing(draws):
+    # four_state leaves its coin state for good on its first solo success
+    i, j = BUILTIN_NAMES.index("four_state"), BUILTIN_NAMES.index("never")
+    args = (builtin("four_state"), builtin("never"), 100, CHUNK_SIZE + 5)
+    got = run_games(*args, seed=3, pairing=(i, j))
+    assert sorted(draws) == [(DOMAIN_GAME, i, j, 0, 0), (DOMAIN_GAME, i, j, 1, 0)]
+    assert all(0 < count < 100 for count in draws.values()), draws
+    assert _digest(got) == _digest(full_draw_run_games(*args, seed=3, pairing=(i, j)))
+
+
+def test_undefined_transition_reached_only_after_the_switch():
+    # one game: four_state idles 5 slots, wins slot 6 and so reaches state
+    # 2 (closed) and then state 4, whose solo transmit on slot 8 leads nowhere
+    four = builtin("four_state")
+    compiled = compile_machine(four)
+    trans = compiled.trans.copy()
+    trans[list(four.states).index("4"), 1, 1] = -1
+    broken = dataclasses.replace(compiled, trans=trans)
+    ua = np.array([[0.9] * 5 + [0.1] + [0.5] * 3])
+    ub = np.full_like(ua, 0.5)
+    with pytest.raises(ValueError, match="no transition"):
+        run_games_with_uniforms(broken, builtin("never"), ua, ub)
+    # on the final slot the move is never followed
+    batch = run_games_with_uniforms(broken, builtin("never"), ua[:, :8], ub[:, :8])
+    reference = run_games_with_uniforms(four, builtin("never"), ua[:, :8], ub[:, :8])
+    assert (batch.scores_a[0], batch.first_success[0]) == (reference.scores_a[0], reference.first_success[0]) == (2, 6)
+
+
+def test_undefined_transition_followed_as_the_other_player_closes():
+    # four_state wins slot 1 and is closed from slot 2 on; never hears that
+    # win on a move its broken table leaves undefined, so the switch finds
+    # never already past the end of its table
+    compiled = compile_machine(builtin("never"))
+    trans = compiled.trans.copy()
+    trans[compiled.start, 0, 1] = -1
+    broken = dataclasses.replace(compiled, trans=trans)
+    with pytest.raises(ValueError, match="no transition"):
+        run_games_with_uniforms(builtin("four_state"), broken, [[0.1, 0.5]], [[0.5, 0.5]])
+    assert run_games_with_uniforms(builtin("four_state"), broken, [[0.1]], [[0.5]]).scores_a[0] == 1
+
+
+def test_negative_seed_rejected_once_a_stream_is_built():
+    with pytest.raises(ValueError, match="seed -1"):
+        run_games(builtin("four_state"), builtin("never"), 5, 10, seed=-1)

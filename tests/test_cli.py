@@ -425,6 +425,23 @@ def test_tournament_execution_options_range_checked(option, value, message, caps
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # no entrant here draws, so no stream was ever built to reject the seed
+        ["tournament", "--entrants", "never,always", "--runs", "5", "--horizon", "5"],
+        ["tournament", "--entrants", "four_state,never", "--runs", "5", "--horizon", "5"],
+        ["capture", "simulate", "--users", "5", "--episodes", "50"],
+    ],
+    ids=["deterministic-lineup", "coin-lineup", "capture-simulate"],
+)
+def test_negative_seed_exit_one(argv, capsys, tmp_path):
+    code, _, err = run(argv + ["--seed", "-1", "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert "seed" in err and "-1" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_replay_jobs_range_checked(capsys, tmp_path):
     code, _, _ = run(["tournament", "--runs", "10", "--horizon", "5", "--out-dir", str(tmp_path / "a")], capsys)
     assert code == 0

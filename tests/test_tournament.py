@@ -197,6 +197,8 @@ def test_config_validation():
         _config(runs=0)
     with pytest.raises(ValueError):
         _config(horizon=0)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        _config(names=("never", "always"), seed=-1)
     with pytest.raises(ValueError):
         TournamentConfig.from_machines({})
     with pytest.raises(ValueError):
