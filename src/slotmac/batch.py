@@ -141,9 +141,18 @@ def _tables(m: CompiledMachine, moves) -> tuple[np.ndarray, np.ndarray, np.ndarr
     actions, feedback = zip(*moves)
     succ = m.trans[:, actions, feedback].astype(np.intp)
     succ[succ < 0] = len(succ)
-    closed = np.append(np.isin(m.probs, (0, 1)) & np.isin(m.last_probs, (0, 1)), True)  # entry N: undefined
-    while (opened := closed[:-1] & ~closed[succ].all(axis=1)).any():  # to the greatest fixed point
-        closed[:-1] &= ~opened
+    # a state is open when it reaches a coin state: one search back from them
+    closed = (np.isin(m.probs, (0, 1)) & np.isin(m.last_probs, (0, 1))).tolist() + [True]  # entry N: undefined
+    preds = [[] for _ in closed]
+    for s, row in enumerate(succ.tolist()):
+        for t in row:
+            preds[t].append(s)
+    todo = [s for s, c in enumerate(closed) if not c]
+    while todo:
+        for s in preds[todo.pop()]:
+            if closed[s]:
+                closed[s] = False
+                todo.append(s)
     return np.repeat(m.probs, 4), np.repeat(m.last_probs, 4), (4 * succ).ravel(), np.repeat(closed[:-1], 4), 4 * m.start
 
 

@@ -6,7 +6,9 @@ can be fed back through ``slotmac replay`` to regenerate the outputs; the
 bytes come out identical whatever ``--jobs`` is set to, because every
 random draw is named by (seed, stream id), never by scheduling.
 
-The master seed is taken from ``--seed`` when given, else from the
+A replay rebuilds the command line its manifest records and parses it
+like a typed one, so both reach a runner through the same checks.  The
+master seed is taken from ``--seed`` when given, else from the
 ``SLOTMAC_SEED`` environment variable, else 0.
 """
 
@@ -62,10 +64,10 @@ def _json_text(payload) -> str:
 
 
 def _exec_tournament(opts: dict) -> CommandResult:
-    dump = opts.get("dump_transcripts", 0)
+    dump = opts["dump_transcripts"]
     if dump < 0:
         raise ValueError(f"--dump-transcripts must be at least 0, got {dump}")
-    machines = load_strategy_dir(opts.get("strategy_dir") or corpus_dir())
+    machines = load_strategy_dir(opts["strategy_dir"] or corpus_dir())
     names = opts["entrants"]
     missing = [n for n in names if n not in machines]
     if missing:
@@ -100,8 +102,7 @@ def _transcripts(config: TournamentConfig, games_per_pair: int) -> str:
     k = len(config.entrants)
     for i in range(k):
         for j in range(i, k):
-            name_i, machine_i = config.entrants[i]
-            name_j, machine_j = config.entrants[j]
+            (name_i, machine_i), (name_j, machine_j) = config.entrants[i], config.entrants[j]
             games = []
             for g in range(games_per_pair):
                 transcript = play_game(
@@ -138,7 +139,7 @@ def _exec_capture_solve(opts: dict) -> CommandResult:
 
 def _exec_capture_simulate(opts: dict) -> CommandResult:
     users = opts["users"]
-    if opts.get("fixed_p") is not None:
+    if opts["fixed_p"] is not None:
         policy = FixedProbabilityPolicy(opts["fixed_p"])
         expected = None
         policy_desc = {"kind": "fixed", "p": opts["fixed_p"]}
@@ -147,15 +148,8 @@ def _exec_capture_simulate(opts: dict) -> CommandResult:
         policy = GroupSplittingPolicy(table)
         expected = table.values[users]
         policy_desc = {"kind": "group-splitting", "p": table.probs[users]}
-    summary = simulate_capture(
-        policy, users, opts["episodes"], opts["seed"], max_slots=opts["max_slots"]
-    )
-    payload = {
-        "users": users,
-        "policy": policy_desc,
-        "expected": expected,
-        **summary.to_json_dict(),
-    }
+    summary = simulate_capture(policy, users, opts["episodes"], opts["seed"], max_slots=opts["max_slots"])
+    payload = {"users": users, "policy": policy_desc, "expected": expected, **summary.to_json_dict()}
     text = (
         f"capture simulate: {users} users, {summary.episodes} episodes, "
         f"mean {summary.mean:.5f} (stderr {summary.stderr:.5f}, censored {summary.censored})"
@@ -185,7 +179,7 @@ def _exec_multichannel_optimize(opts: dict) -> CommandResult:
     two_user = {f"m={m}": float(two_user_capture_time(m)) for m in (1, 2, 3)}
     payload = {"three_users_two_channels": result.to_json_dict(), "two_users": two_user}
     files = {"multichannel_opt.json": _json_text(payload)}
-    if opts.get("emit_plot_data"):
+    if opts["emit_plot_data"]:
         files["multichannel_sweep.csv"] = _sweep_csv(result)
     p, q, r = result.full.params
     text = (
@@ -217,13 +211,8 @@ def _exec_multichannel_simulate(opts: dict) -> CommandResult:
     users, channels = opts["users"], opts["channels"]
     simulate, expected = resolve_multichannel(users, channels, opts["params"])
     summary = simulate(opts["episodes"], opts["seed"], max_slots=opts["max_slots"])
-    payload = {
-        "users": users,
-        "channels": channels,
-        "params": opts["params"],
-        "expected": expected,
-        **summary.to_json_dict(),
-    }
+    payload = {"users": users, "channels": channels, "params": opts["params"], "expected": expected,
+               **summary.to_json_dict()}
     text = (
         f"multichannel simulate: {users} users on {channels} channel(s), "
         f"mean {summary.mean:.5f} (stderr {summary.stderr:.5f}), expected {expected:.5f}"
@@ -246,15 +235,31 @@ RUNNERS: dict[str, Callable[[dict], CommandResult]] = {
 # argument plumbing
 
 
-def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("SLOTMAC_SEED")
-    return int(env) if env else 0
+class _Parser(argparse.ArgumentParser):
+    """Raises an input error as a ValueError, which ``main`` reports like
+    any other, where argparse would print usage and exit 2."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
+def _seed(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value {text!r} (--seed, else $SLOTMAC_SEED)") from None
+
+
+def _params(text: str) -> list[float]:
+    values = [float(x) for x in text.split(",")]
+    if len(values) != 3:
+        raise argparse.ArgumentTypeError("--params needs exactly three comma-separated values")
+    return values
 
 
 def _add_seed(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None,
+    # a string default goes through type= too, so a bad $SLOTMAC_SEED is an input error
+    parser.add_argument("--seed", type=_seed, default=os.environ.get("SLOTMAC_SEED") or "0",
                         help="master seed (default: $SLOTMAC_SEED, else 0)")
 
 
@@ -264,17 +269,16 @@ def _add_out_dir(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="slotmac",
-        description="Slotted channel games: tournaments, closed forms, capture times.",
-    )
+    parser = _Parser(prog="slotmac",
+                     description="Slotted channel games: tournaments, closed forms, capture times.")
     parser.add_argument("--version", action="version", version=f"slotmac {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("tournament", help="round-robin tournament of strategy machines")
-    t.add_argument("--entrants", default=",".join(DEFAULT_LINEUP),
+    t.add_argument("--entrants", type=lambda text: [s for s in text.split(",") if s],
+                   default=",".join(DEFAULT_LINEUP),
                    help="comma-separated machine names (default: the six-machine built-in lineup)")
-    t.add_argument("--strategy-dir", type=Path, default=None,
+    t.add_argument("--strategy-dir", type=lambda text: str(Path(text).resolve()), default=None,
                    help="load .strat files from this directory instead of the builtins")
     t.add_argument("--horizon", type=int, default=100)
     t.add_argument("--runs", type=int, default=1000, help="games per pairing")
@@ -322,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     ms.add_argument("--channels", type=int, required=True)
     ms.add_argument("--episodes", type=int, default=100_000)
     ms.add_argument("--max-slots", type=int, default=10_000)
-    ms.add_argument("--params", default=None,
+    ms.add_argument("--params", type=_params, default=None,
                     help="three users on two channels: p,q,r (default 0.5,0,1)")
     _add_seed(ms)
     _add_out_dir(ms)
@@ -341,20 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _collect_options(args: argparse.Namespace) -> tuple[str, dict]:
     """The command name and its options: every parsed argument except the
-    routing keys and --out-dir, with the few that need it made concrete."""
+    routing keys and --out-dir."""
     command = " ".join(getattr(args, key) for key in ("command", "subcommand") if hasattr(args, key))
-    opts = {k: v for k, v in vars(args).items() if k not in ("command", "subcommand", "out_dir")}
-    if "seed" in opts:
-        opts["seed"] = _resolve_seed(opts["seed"])
-    if "entrants" in opts:
-        opts["entrants"] = [s for s in opts["entrants"].split(",") if s]
-    if "strategy_dir" in opts:
-        opts["strategy_dir"] = str(opts["strategy_dir"].resolve()) if opts["strategy_dir"] else None
-    if "params" in opts:
-        opts["params"] = [float(x) for x in opts["params"].split(",")] if opts["params"] else None
-        if opts["params"] and len(opts["params"]) != 3:
-            raise ValueError("--params needs exactly three comma-separated values")
-    return command, opts
+    return command, {k: v for k, v in vars(args).items() if k not in ("command", "subcommand", "out_dir")}
 
 
 def _write_outputs(out_dir: Path, command: str, opts: dict, files: dict[str, str]) -> None:
@@ -388,23 +381,10 @@ def _run_validate(args: argparse.Namespace) -> int:
         if report.machine is None:
             status = 1
         else:
-            n_states = len(report.machine.states)
-            print(f"{path}: ok ({report.machine.name}, {n_states} states)")
+            print(f"{path}: ok ({report.machine.name}, {len(report.machine.states)} states)")
             if args.echo:
                 print(machine_source(report.machine), end="")
     return status
-
-
-class _ManifestOptions(dict):
-    """A manifest's options: looking up one the manifest lacks raises a
-    ValueError naming the manifest, where a plain dict would raise KeyError."""
-
-    def __init__(self, manifest: Path, options: dict):
-        super().__init__(options)
-        self.manifest = manifest
-
-    def __missing__(self, key: str):
-        raise ValueError(f"{self.manifest}: manifest options have no {key!r}")
 
 
 def _run_replay(args: argparse.Namespace) -> int:
@@ -412,32 +392,51 @@ def _run_replay(args: argparse.Namespace) -> int:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     try:
         manifest = json.loads(args.manifest.read_text(encoding="utf-8"))
+        if not isinstance(manifest, dict):
+            raise ValueError("manifest is not a JSON object")
+        if "command" not in manifest:
+            raise ValueError("manifest has no command")
+        command, options = manifest["command"], manifest.get("options")
+        if not isinstance(command, str) or command not in RUNNERS:
+            raise ValueError(f"manifest names unknown command {command!r}")
+        if not isinstance(options, dict):
+            raise ValueError("manifest has no options object")
+        # the command line the manifest records: each option as --key=value,
+        # a list comma-joined, true a bare flag, null and false left out
+        argv = command.split()
+        for key, value in options.items():
+            if value is not None and value is not False:
+                text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+                argv.append("--" + key.replace("_", "-") + ("" if value is True else "=" + text))
+        if command == "tournament" and args.jobs is not None:
+            argv.append(f"--jobs={args.jobs}")
+        try:  # an option that asks for --help prints it and exits
+            _, opts = _collect_options(build_parser().parse_args(argv))
+        except SystemExit:
+            raise ValueError("manifest options ask for --help") from None
+        # accepted only as the fixed point of that command line; JSON texts
+        # are compared, as 0 == False in Python
+        recorded = {k: v for k, v in opts.items() if k != "jobs"}
+        for key in sorted(recorded.keys() | options.keys()):
+            if key not in options:
+                raise ValueError(f"manifest options have no {key!r}")
+            read = json.dumps(recorded[key]) if key in recorded else "nothing"
+            if json.dumps(options[key]) != read:
+                raise ValueError(f"manifest option {key!r} is {json.dumps(options[key])}, "
+                                 f"which its command line reads as {read}")
+        result = RUNNERS[command](opts)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{args.manifest}: manifest is not JSON: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{args.manifest}: manifest is not a JSON object")
-    if "command" not in manifest:
-        raise ValueError(f"{args.manifest}: manifest has no command")
-    command = manifest["command"]
-    runner = RUNNERS.get(command) if isinstance(command, str) else None
-    if runner is None:
-        raise ValueError(f"{args.manifest}: manifest names unknown command {command!r}")
-    if not isinstance(manifest.get("options"), dict):
-        raise ValueError(f"{args.manifest}: manifest has no options object")
-    opts = _ManifestOptions(args.manifest, manifest["options"])
-    if command == "tournament":
-        opts["jobs"] = args.jobs if args.jobs is not None else 1
-    result = runner(opts)
+    except ValueError as exc:
+        raise ValueError(f"{args.manifest}: {exc}") from None
     print(result.summary)
-    out_dir = args.out_dir if args.out_dir is not None else args.manifest.parent
-    _write_outputs(out_dir, command, opts, result.files)
+    _write_outputs(args.out_dir or args.manifest.parent, command, opts, result.files)
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "validate":
             return _run_validate(args)
         if args.command == "replay":

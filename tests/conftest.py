@@ -4,8 +4,9 @@ The oracles here deliberately avoid the production code paths they check:
 the self-play value is recomputed by a joint-state dynamic program over
 exact rationals and by brute force through the batch engine, the capture
 table by the full scalar scan without the numpy screen, the grid scans on
-dense meshgrids, and random machines are built straight from dicts rather
-than through the parser.
+dense meshgrids, the batch engine's closed states by the fixed-point
+iteration it used before its reverse search, and random machines are built
+straight from dicts rather than through the parser.
 """
 
 from __future__ import annotations
@@ -113,6 +114,22 @@ def full_draw_run_games(machine_a, machine_b, horizon: int, runs: int, seed: int
         for field in ("scores_a", "scores_b", "first_success"):
             getattr(out, field)[lo:lo + n] = getattr(part, field)
     return out
+
+
+def fixed_point_closed(m: CompiledMachine, moves=((0, 0), (0, 1), (1, 1), (1, 2))) -> np.ndarray:
+    """Which states of m are closed, as the batch engine once found them: the
+    greatest fixed point reached by opening, pass after pass, every state
+    with an open successor under ``moves``, starting from the states whose
+    transmit probabilities are all 0 or 1 (an undefined successor counts as
+    closed).  One numpy pass per step of the longest deterministic path into
+    a coin state, so quadratic on long chains."""
+    actions, feedback = zip(*moves)
+    succ = m.trans[:, actions, feedback].astype(np.intp)
+    succ[succ < 0] = len(succ)
+    closed = np.append(np.isin(m.probs, (0, 1)) & np.isin(m.last_probs, (0, 1)), True)
+    while (opened := closed[:-1] & ~closed[succ].all(axis=1)).any():
+        closed[:-1] &= ~opened
+    return closed[:-1]
 
 
 def scalar_scan_then_golden(f, lo: float, hi: float, points: int, tol: float = 1e-12) -> tuple[float, float]:

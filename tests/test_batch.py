@@ -23,7 +23,7 @@ from slotmac.batch import CHUNK_SIZE, compile_machine
 from slotmac.rng import DOMAIN_GAME
 from slotmac.strategies import BUILTIN_NAMES, builtin
 
-from conftest import ReplayStream, full_draw_run_games, random_machine
+from conftest import ReplayStream, fixed_point_closed, full_draw_run_games, random_machine
 
 # (a, b) -> sha256(scores_a || scores_b || first_success)[:20] of
 # run_games(a, b, 9, 3000, seed=2024, pairing=(i, j)), i and j the indices
@@ -445,6 +445,42 @@ def test_closed_states_are_those_that_reach_no_coin(seed, override):
                     seen.add(int(nxt))
                     todo.append(int(nxt))
         assert closed[s] == (not seen & coin), s
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), override=st.booleans(), kind=st.sampled_from(["any", "deterministic", "half"]))
+def test_closed_states_match_the_fixed_point(seed, override, kind):
+    machine = random_machine(np.random.default_rng(seed), deterministic=kind == "deterministic",
+                             half=kind == "half", override=override)
+    compiled = compile_machine(machine)
+    for moves in (batch_module._MOVES, batch_module._MOVES_B):
+        closed = batch_module._tables(compiled, moves)[3]
+        assert np.array_equal(closed, np.repeat(fixed_point_closed(compiled, moves), 4))
+
+
+def _idle_chain(n: int, coin: int) -> batch_module.CompiledMachine:
+    # state s idles into s + 1 and the last state into itself; state coin
+    # transmits with probability 1/2 and moves on whatever it does
+    probs = np.zeros(n)
+    probs[coin] = 0.5
+    trans = np.full((n, 2, 3), -1, dtype=np.int16)
+    nxt = np.minimum(np.arange(1, n + 1), n - 1)
+    trans[:, 0, 0] = trans[:, 0, 1] = nxt
+    trans[coin, 1, 1] = trans[coin, 1, 2] = nxt[coin]
+    return batch_module.CompiledMachine(probs, probs, trans, 0)
+
+
+@pytest.mark.parametrize("n, coin", [(2_000, 1_999), (2_000, 700), (32_000, 31_999), (32_000, 16_000)])
+def test_closed_states_of_long_idle_chains(n, coin):
+    # the fixed point took one numpy pass per state of the chain, 5 s per
+    # call at 32,000 states; only the states past the coin are closed
+    chain = _idle_chain(n, coin)
+    closed = batch_module._tables(chain, batch_module._MOVES)[3][::4]
+    assert np.array_equal(closed, np.arange(n) > coin)
+    if n <= 2_000:
+        assert np.array_equal(closed, fixed_point_closed(chain))
+    got = run_games(chain, builtin("never"), 5, 10, seed=1)
+    assert got.scores_a.sum() == got.scores_b.sum() == 0
 
 
 @pytest.fixture

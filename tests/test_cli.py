@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import filecmp
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import slotmac
 from slotmac import alpha_optimal, beta3, beta4, builtin, expected_y
@@ -546,3 +551,152 @@ def test_replay_manifest_not_json_names_the_path(text, capsys, tmp_path):
     assert code == 1
     assert err.startswith(f"slotmac: error: {path}: manifest is not JSON: ")
     assert not (tmp_path / "out").exists()
+
+
+# a replayed manifest goes through the parser a typed command does: its
+# options become the command line it records, and it is accepted only if
+# that line's parse records exactly those options
+
+DELETE = object()
+
+
+@pytest.mark.parametrize(
+    "argv, change, option",
+    [
+        (["capture", "solve", "--n-max", "3"], {"n_max": "x"}, "--n-max"),
+        (["analytics", "--t-max", "3"], {"t_min": 1.5}, "--t-min"),
+        (["capture", "simulate", "--users", "3", "--episodes", "10"], {"episodes": 10.0}, "--episodes"),
+        (["multichannel", "simulate", "--users", "3", "--channels", "2", "--episodes", "10"],
+         {"params": [0.5, 0]}, "--params"),
+        (["tournament", "--entrants", "never,always", "--runs", "5", "--horizon", "5"],
+         {"strategy_dir": 7}, "'strategy_dir'"),
+        (["capture", "solve", "--n-max", "3"], {"tol": "1e-9"}, "'tol'"),
+        (["tournament", "--entrants", "never", "--runs", "5", "--horizon", "5"],
+         {"entrants": "four_state"}, "'entrants'"),
+        (["capture", "simulate", "--users", "3", "--episodes", "10"], {"users": True}, "--users"),
+        (["multichannel", "optimize", "--grid", "11"], {"emit_plot_data": "no"}, "--emit-plot-data"),
+        (["capture", "solve", "--n-max", "3"], {"bogus": 1}, "--bogus"),
+        (["capture", "simulate", "--users", "3", "--episodes", "10"], {"fixed_p": DELETE}, "'fixed_p'"),
+        # 0 == False in Python: this used to run with no transcripts
+        (["tournament", "--entrants", "never", "--runs", "5", "--horizon", "5", "--dump-transcripts", "1"],
+         {"dump_transcripts": False}, "'dump_transcripts'"),
+        # an option that asks for help prints it and exits before any check
+        (["capture", "solve", "--n-max", "3"], {"help": True}, "--help"),
+    ],
+    ids=["string-int", "float-int", "float-episodes", "two-params", "int-dir", "string-tol", "string-entrants",
+         "bool-users", "string-flag", "unknown-key", "missing-nullable", "false-zero", "help"],
+)
+def test_replay_refuses_options_its_command_line_does_not_record(argv, change, option, capsys, tmp_path):
+    # each of these used to end in a traceback, run with a wrong value, or
+    # exit 0 and write a manifest that differs from the one replayed
+    assert run(argv + ["--out-dir", str(tmp_path / "first")], capsys)[0] == 0
+    manifest = json.loads((tmp_path / "first" / "manifest.json").read_text())
+    for key, value in change.items():
+        if value is DELETE:
+            del manifest["options"][key]
+        else:
+            manifest["options"][key] = value
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    code, _, err = run(["replay", str(path), "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert err.startswith(f"slotmac: error: {path}: ")
+    assert option in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["capture", "simulate", "--users", "x"], "argument --users: invalid int value: 'x'"),
+        (["capture", "simulate"], "the following arguments are required: --users"),
+        (["capture", "solve", "--bogus"], "unrecognized arguments: --bogus"),
+        (["multichannel", "simulate", "--users", "3", "--channels", "2", "--params", "1,2"],
+         "--params needs exactly three comma-separated values"),
+    ],
+)
+def test_bad_command_line_exit_one(argv, message, capsys):
+    # argparse used to print a usage line and exit 2
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert err.startswith("slotmac: error: ") and message in err
+    assert "usage" not in err and err.count("\n") == 1 and out == ""
+
+
+def test_bad_seed_environment_named(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("SLOTMAC_SEED", "abc")
+    code, _, err = run(["capture", "simulate", "--users", "3", "--episodes", "10",
+                        "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert "SLOTMAC_SEED" in err and "'abc'" in err
+    assert not (tmp_path / "out").exists()
+    # a command with no seed never reads it, and --seed overrides it
+    assert run(["analytics", "--t-max", "3"], capsys)[0] == 0
+    assert run(["capture", "simulate", "--users", "3", "--episodes", "10", "--seed", "1"], capsys)[0] == 0
+
+
+@pytest.fixture(scope="module")
+def replay_forms(tmp_path_factory):
+    """Every REPLAY_FORMS command run once, into a directory per form, and
+    the JSON kinds each option takes in some form (null: it is nullable)."""
+    base = tmp_path_factory.mktemp("forms")
+    kinds = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        for form, argv in REPLAY_FORMS.items():
+            assert main(argv + ["--out-dir", str(base / form)]) == 0
+            for key, value in json.loads((base / form / "manifest.json").read_text())["options"].items():
+                kinds.setdefault(key, set()).add(_kind(value))
+    return base, kinds
+
+
+def _kind(value) -> str:
+    if isinstance(value, bool):
+        return "bool"
+    return {str: "string", list: "list", dict: "object", type(None): "null"}.get(type(value), "number")
+
+
+OTHER_VALUES = {
+    "string": st.text(max_size=8),
+    "bool": st.booleans(),
+    "number": st.integers(-10, 10) | st.floats(allow_nan=False),
+    "list": st.lists(st.integers(-3, 3) | st.floats(-1, 1) | st.text(max_size=3), max_size=4),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    "null": st.none(),
+}
+JSON_VALUES = st.one_of(*OTHER_VALUES.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(form=st.sampled_from(sorted(REPLAY_FORMS)), data=st.data())
+def test_mutated_manifest_refused_or_replayed_exactly(replay_forms, form, data):
+    base, kinds = replay_forms
+    manifest = json.loads((base / form / "manifest.json").read_text())
+    options = manifest["options"]
+    mutation = data.draw(st.sampled_from(["delete", "add", "retype"]))
+    if mutation == "add":
+        key = data.draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in options))
+        options[key] = data.draw(JSON_VALUES)
+    else:
+        key = data.draw(st.sampled_from(sorted(options)))
+        if mutation == "delete":
+            del options[key]
+        else:
+            others = [OTHER_VALUES[kind] for kind in OTHER_VALUES if kind not in kinds[key]]
+            if type(options[key]) is int:  # a float for an int option
+                others.append(st.floats(allow_nan=False))
+            options[key] = data.draw(st.one_of(others))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "manifest.json", Path(tmp) / "out"
+        path.write_text(json.dumps(manifest))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["replay", str(path), "--out-dir", str(out)])
+        if code == 1:
+            assert err.getvalue().startswith(f"slotmac: error: {path}: ")
+            assert not out.exists()
+        else:
+            assert code == 0
+            names = sorted(p.name for p in (base / form).iterdir())
+            assert sorted(p.name for p in out.iterdir()) == names
+            for name in names:
+                assert (out / name).read_bytes() == (base / form / name).read_bytes(), name
