@@ -1,29 +1,21 @@
 """Vectorized many-game runner for machine-vs-machine play.
 
-Runs the same slot loop as the scalar engine, but across a whole batch of
-games at once with numpy.  Games are processed in fixed-size chunks and
-every chunk draws from a stream named by (master seed, pairing, chunk
-index, player), so results are byte-identical however the chunks are
-scheduled across threads.  A player transmits when its uniform u is below
-its state's probability p, and u lies in [0, 1), so only a p strictly
-between 0 and 1 reads u.  A state is closed when every state it can reach
-has p 0 or 1.  A player draws one uniform per slot per game, from a stream
-built on its first draw, until every game of the chunk has it closed; once
-both are, a game's future is fixed by its joint state, and one game per
-distinct joint state is played.  No draw a game reads moves; the scalar
-engine still draws every slot.
+Runs the scalar engine's slot loop across a whole batch of games at once
+with numpy.  Games are played in fixed-size chunks, and every chunk draws
+from a stream named by (master seed, pairing, chunk index, player), so
+results are byte-identical however chunks are scheduled across threads.
+A player transmits when its uniform u in [0, 1) is below its state's
+probability p, so only a p strictly between 0 and 1 reads u; a state is
+closed when every state it can reach has p 0 or 1.  A player draws a
+uniform per slot for every game of the chunk while some game has it open.
+A game with both players closed has its future fixed by its joint state:
+once such games are half the live ones they are parked, and only the rest
+are stepped.  Parked games are finished together by binary lifting over
+the joint states they can reach, in O(log T) steps.  No draw a game reads
+moves; the scalar engine still draws every slot.
 
-Every machine plays from one state table (``CompiledMachine``).  The
-foreign-opponent shadow of a last-slot-override machine is folded into
-that table when it is compiled, so a slot is the same few lookups for
-every machine and the override is only which probability vector the final
-slot reads.
-
-A slot's outcome is one move k = 2 * xa + xb.  Each player's table is
-flattened once per call into a step table indexed by 4 * state + k, state
-ids kept times 4 (``_tables``), so a slot is, per player, one ``take`` for
-the transmit probability, one compare against the uniform and one ``take``
-for the successor.  No transition follows the final slot.
+Every machine plays one state table (``CompiledMachine``, the override's
+shadow folded in), flattened per call into a step table (``_tables``).
 """
 
 from __future__ import annotations
@@ -37,6 +29,7 @@ from .game import check_horizon
 from .rng import DOMAIN_GAME, RngStream
 
 CHUNK_SIZE = 65_536
+_NONE = 2**62  # "no solo success" among offsets, which stay below 2**31
 # state ids are int16 with -1 for "no transition"
 _MAX_STATES = int(np.iinfo(np.int16).max) + 1
 # a slot's move k = 2 * xa + xb as each player sees it, (own action,
@@ -130,73 +123,134 @@ class GameBatch:
     first_success: np.ndarray
 
 
-def _tables(m: CompiledMachine, moves) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+def _tables(m: CompiledMachine, moves, closed=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """One player's engine tables, state ids times 4: ``probs``,
     ``last_probs`` and ``closed`` repeated 4 times, the step table and the
     start.  ``step[4 * s + k]`` is 4 times the successor of state s under
     the slot move k = 2 * xa + xb, which this player sees as ``moves[k]`` =
     (own action, feedback).  An undefined successor (-1) becomes 4N, past
     the end of every table, so the next slot's ``take`` raises.  State s is
-    closed when every state reachable from it plays p 0 or 1 on any slot."""
+    closed when every state reachable from it plays p 0 or 1 on any slot;
+    that holds in either seat, so the other seat's ``closed`` may be given."""
     actions, feedback = zip(*moves)
     succ = m.trans[:, actions, feedback].astype(np.intp)
     succ[succ < 0] = len(succ)
-    # a state is open when it reaches a coin state: one search back from them
-    closed = (np.isin(m.probs, (0, 1)) & np.isin(m.last_probs, (0, 1))).tolist() + [True]  # entry N: undefined
-    preds = [[] for _ in closed]
-    for s, row in enumerate(succ.tolist()):
-        for t in row:
-            preds[t].append(s)
-    todo = [s for s, c in enumerate(closed) if not c]
-    while todo:
-        for s in preds[todo.pop()]:
-            if closed[s]:
-                closed[s] = False
-                todo.append(s)
-    return np.repeat(m.probs, 4), np.repeat(m.last_probs, 4), (4 * succ).ravel(), np.repeat(closed[:-1], 4), 4 * m.start
+    if closed is None:
+        # a state is open when it reaches a coin state: one search back from them
+        flags = ((m.probs % 1 == 0) & (m.last_probs % 1 == 0)).tolist() + [True]  # p in {0, 1}; entry N: undefined
+        preds = [[] for _ in flags]
+        for s, row in enumerate(succ.tolist()):
+            for t in row:
+                preds[t].append(s)
+        todo = [s for s, c in enumerate(flags) if not c]
+        while todo:
+            for s in preds[todo.pop()]:
+                if flags[s]:
+                    flags[s] = False
+                    todo.append(s)
+        closed = np.repeat(flags[:-1], 4)
+    return np.repeat(m.probs, 4), np.repeat(m.last_probs, 4), (4 * succ).ravel(), closed, 4 * m.start
 
 
-def _play_chunk(ta, tb, horizon: int, n: int, uniforms, first: int = 1, states=None) -> GameBatch:
-    """Run n games between the players whose ``_tables`` are ta and tb, from
-    slot ``first`` and the joint ``states`` (default the starts) on.
-    ``uniforms(player, t)`` must return the n uniform draws for that player
-    and slot; it is called in slot order, player 0 then player 1, while
-    some game has that player outside its closed states."""
+def _pair_tables(machine_a, machine_b) -> tuple[tuple, tuple]:
+    """Both seats' ``_tables``; a table playing itself is searched once."""
+    ca = compile_machine(machine_a)
+    ta, cb = _tables(ca, _MOVES), ca if machine_b is machine_a else compile_machine(machine_b)
+    return ta, _tables(cb, _MOVES_B, ta[3] if cb is ca else None)
+
+
+def _play_chunk(ta, tb, horizon: int, uniforms, out: np.ndarray) -> np.ndarray:
+    """Play one game per column of ``out`` (GameBatch's three fields) for the
+    players with ``_tables`` ta and tb; ``uniforms(player, t)`` gives a slot's
+    draws, called in slot order while some game has that player open."""
     probs_a, last_a, step_a, closed_a, start_a = ta
     probs_b, last_b, step_b, closed_b, start_b = tb
-    sa, sb = states or (np.full(n, start_a, dtype=np.intp), np.full(n, start_b, dtype=np.intp))
-    score_a, score_b, lead = (np.full(n, v, dtype=np.int32) for v in (0, 0, first - 1))  # lead: slots before a solo success
-    draw_a = draw_b = uniforms is not None
-    # decided once: a player with no closed state is never checked
-    watch_a, watch_b = draw_a and closed_a.any(), draw_b and closed_b.any()
+    n, w = out.shape[1], len(probs_b) + 1  # joint state sa * w + sb; sb may be 4N_b, undefined
+    # a parked game's (park event * (4N_a + 1) + sa) * w + sb; each event at least halves the live games
+    key = np.full(n, -1, dtype=np.int64 if (n.bit_length() + 1) * (len(probs_a) + 1) * w >= 2**31 else np.int32)
+    slots, ids, sa, sb = [], np.arange(n), np.full(n, start_a, dtype=np.intp), np.full(n, start_b, dtype=np.intp)
+    score_a, score_b, lead = (np.zeros(n, dtype=np.int32) for _ in range(3))  # lead: slots before a solo success
+    live, draw_a, draw_b = n, True, True  # the live arrays hold live games first, then copies of one
     try:
-        for t in range(first, horizon + 1):
-            if watch_a and closed_a.take(sa).all():
-                watch_a = draw_a = False
-            if watch_b and closed_b.take(sb).all():
-                watch_b = draw_b = False
-            if uniforms is not None and not (draw_a or draw_b):  # the rest is fixed by the joint state
-                w = len(probs_b) + 1  # sb may be 4N_b, an undefined successor
-                codes, inverse = np.unique(sa * w + sb, return_inverse=True)
-                tail = _play_chunk(ta, tb, horizon, len(codes), None, t, (codes // w, codes % w))
-                score_a += tail.scores_a[inverse]
-                score_b += tail.scores_b[inverse]
-                return GameBatch(score_a, score_b, np.where(lead < t - 1, lead + 1, tail.first_success[inverse]))
-            final = t == horizon
-            xa = (uniforms(0, t) if draw_a else 0.0) < (last_a if final else probs_a).take(sa)
-            xb = (uniforms(1, t) if draw_b else 0.0) < (last_b if final else probs_b).take(sb)
-            move = 2 * xa.view(np.uint8)
-            move |= xb.view(np.uint8)
+        for t in range(1, horizon + 1):
+            ca, cb = closed_a.take(sa) if draw_a else True, closed_b.take(sb) if draw_b else True
+            draw_a, draw_b, both = draw_a and not ca.all(), draw_b and not cb.all(), ca & cb
+            if both is True or 2 * np.count_nonzero(both[:live]) >= live:  # park them; _finish adds their tails
+                both = both if both is True else both[:live]  # index arrays: a random boolean mask is ~10x slower
+                go, stay = (slice(0, live), np.arange(0)) if both is True else (np.flatnonzero(both), np.flatnonzero(~both))
+                parked = ids[go]
+                for row, value in zip(out, (score_a[go], score_b[go], np.where(lead[go] < t - 1, lead[go] + 1, 0))):
+                    row[parked] = value  # a row at a time: numpy assigns (3, k) blocks several times slower
+                key[parked] = (sa[go] + len(slots) * (len(probs_a) + 1)) * w + sb[go]
+                slots.append(t)
+                live = len(stay)
+                stay = np.append(stay, stay[-1:].repeat(-live % 1024))  # few array sizes: a less fragmented heap
+                ids, sa, sb, score_a, score_b, lead = (v[stay] for v in (ids, sa, sb, score_a, score_b, lead))
+                if not live:
+                    break
+            xa = (uniforms(0, t).take(ids) if draw_a else 0.0) < (last_a if t == horizon else probs_a).take(sa)
+            xb = (uniforms(1, t).take(ids) if draw_b else 0.0) < (last_b if t == horizon else probs_b).take(sb)
+            move = 2 * xa.view(np.uint8) | xb.view(np.uint8)
             score_a += move == 2
             score_b += move == 1
             lead += (score_a | score_b) == 0
-            if not final:  # no transition after the final slot
+            if t < horizon:  # no transition after the final slot
                 sa = step_a.take(sa + move)
                 sb = step_b.take(sb + move)
     except IndexError:
         raise ValueError("no transition is defined for a reachable move") from None
     # lead reaches the horizon only in games without a solo success
-    return GameBatch(score_a, score_b, np.where(lead < horizon, lead + 1, 0).astype(np.int32))
+    for row, value in zip(out, (score_a, score_b, np.where(lead < horizon, lead + 1, 0))):
+        row[ids] = value
+    if n and slots:  # some game was parked
+        _finish(ta, tb, horizon, w, slots, key, out)
+    return out
+
+
+def _finish(ta, tb, horizon: int, w: int, slots: list[int], key: np.ndarray, out: np.ndarray) -> None:
+    """Add the tails of the games parked with ``key`` to ``out``: a forward search finds the graph
+    of closed joint states they reach, and binary lifting jumps each distinct (park slot, joint
+    state) through its horizon - t transitions.  An undefined half absorbs; reaching it raises."""
+    (probs_a, last_a, step_a), (probs_b, last_b, step_b) = ta[:3], tb[:3]
+    groups, inverse = np.unique(key, return_inverse=True)
+    parked = groups >= 0  # all but the unparked games' -1
+    event, joint = np.divmod(groups[parked], (len(probs_a) + 1) * w)
+
+    def step(code: int) -> tuple[int, int, int]:  # move (-1: undefined), final-slot move, successor
+        a, b = divmod(code, w)
+        if a == len(probs_a) or b == len(probs_b):
+            return -1, 0, code
+        k = 2 * int(probs_a[a] > 0) + int(probs_b[b] > 0)
+        return k, 2 * int(last_a[a] > 0) + int(last_b[b] > 0), int(step_a[a + k]) * w + int(step_b[b + k])
+
+    found = {code: step(code) for code in joint.tolist()}
+    frontier, depth = list(found), 0
+    while frontier and depth < horizon - slots[0]:  # breadth first, as deep as any key walks
+        frontier = [c for c in dict.fromkeys(found[c][2] for c in frontier) if c not in found]
+        found.update((c, step(c)) for c in frontier)
+        depth += 1
+    index = {code: i for i, code in enumerate(found)}
+    move, last, nxt = (np.array(v) for v in zip(*((k, f, index.get(s, i)) for i, (k, f, s) in enumerate(found.values()))))
+    cur = np.array([index[code] for code in joint.tolist()])
+    left = horizon - np.array(slots)[event]  # transitions before the final slot
+    # per state a jump of 2^j slots, per key the jumps taken: gains a << 32 | b, first solo offset
+    gain, off = np.where(move == 2, 1 << 32, move == 1), np.where((move == 1) | (move == 2), 0, _NONE)
+    acc_gain, acc_off = np.zeros(len(cur), dtype=np.int64), np.full(len(cur), _NONE)
+    for j in range(int(left.max()).bit_length()):
+        hop = (left & (1 << j)) != 0
+        acc_gain += np.where(hop, gain.take(cur), 0)
+        acc_off = np.minimum(acc_off, np.where(hop, off.take(cur) + (left & ((1 << j) - 1)), _NONE))
+        cur = np.where(hop, nxt.take(cur), cur)
+        gain, off, nxt = gain + gain.take(nxt), np.minimum(off, off.take(nxt) + (1 << j)), nxt.take(nxt)
+    if (move.take(cur) < 0).any():
+        raise ValueError("no transition is defined for a reachable move")
+    k = last.take(cur)
+    first = np.minimum(acc_off, np.where((k == 1) | (k == 2), left, _NONE)) + horizon - left
+    tail = np.zeros((3, len(groups)), dtype=np.int32)  # the unparked games gain nothing
+    tail[:, parked] = (acc_gain >> 32) + (k == 2), (acc_gain & 0xFFFFFFFF) + (k == 1), np.where(first < _NONE, first, 0)
+    tail = tail.take(inverse, axis=1)
+    out[:2] += tail[:2]
+    np.copyto(out[2], tail[2], where=out[2] == 0)
 
 
 def run_games(
@@ -217,12 +271,10 @@ def run_games(
     horizon = check_horizon(horizon)
     if horizon >= 2**31 or runs < 0:  # GameBatch counts slots in int32
         raise ValueError("horizon must be below 2**31 and runs >= 0")
-    ca, cb = compile_machine(machine_a), compile_machine(machine_b)
-    ta, tb = _tables(ca, _MOVES), _tables(cb, _MOVES_B)
-    out = GameBatch(*(np.zeros(runs, dtype=np.int32) for _ in range(3)))
+    ta, tb = _pair_tables(machine_a, machine_b)
+    out = np.zeros((3, runs), dtype=np.int32)  # scores_a, scores_b, first_success
     for chunk, lo in enumerate(range(0, runs, CHUNK_SIZE)):
-        hi = min(lo + CHUNK_SIZE, runs)
-        n = hi - lo
+        n = min(CHUNK_SIZE, runs - lo)
         gens = {}  # a player's stream is built on its first draw, so a closed one has none
 
         def draw(player: int, t: int) -> np.ndarray:
@@ -230,11 +282,8 @@ def run_games(
                 gens[player] = RngStream(seed, (DOMAIN_GAME, pairing[0], pairing[1], chunk, player)).generator()
             return gens[player].random(n)
 
-        batch = _play_chunk(ta, tb, horizon, n, draw)
-        out.scores_a[lo:hi] = batch.scores_a
-        out.scores_b[lo:hi] = batch.scores_b
-        out.first_success[lo:hi] = batch.first_success
-    return out
+        _play_chunk(ta, tb, horizon, draw, out[:, lo:lo + n])
+    return GameBatch(*out)
 
 
 def run_games_with_uniforms(
@@ -255,7 +304,7 @@ def run_games_with_uniforms(
     # makes min and max NaN, which fails the compare
     if any(u.size and not (0.0 <= u.min() and u.max() < 1.0) for u in (ua, ub)):
         raise ValueError("uniforms must lie in [0, 1)")
-    n, horizon = ua.shape
-    check_horizon(horizon)
-    ta, tb = _tables(compile_machine(machine_a), _MOVES), _tables(compile_machine(machine_b), _MOVES_B)
-    return _play_chunk(ta, tb, horizon, n, lambda player, t: (ua if player == 0 else ub)[:, t - 1])
+    horizon = check_horizon(ua.shape[1])
+    ta, tb = _pair_tables(machine_a, machine_b)
+    out = np.zeros((3, len(ua)), dtype=np.int32)
+    return GameBatch(*_play_chunk(ta, tb, horizon, lambda p, t: (ua if p == 0 else ub)[:, t - 1], out))

@@ -201,55 +201,6 @@ def optimize_three_user_two_channel(grid: int = 101, tol: float = 1e-6) -> Three
 
 
 # ---------------------------------------------------------------------------
-# follow-up designation after a theta slot
-
-# subsets as 2-bit codes: bit 0 = channel 1, bit 1 = channel 2
-
-
-def slot_outcome(codes: tuple[int, int, int]) -> str:
-    """Classify a three-user slot: "capture", "repeat" (all same subset,
-    nothing learned), or "followup" (a single user is identified)."""
-    c1 = sum(c & 1 for c in codes)
-    c2 = sum((c >> 1) & 1 for c in codes)
-    if c1 == 1 or c2 == 1:
-        return "capture"
-    if codes[0] == codes[1] == codes[2]:
-        return "repeat"
-    return "followup"
-
-
-def followup_will_transmit(own: int, c1: int, c2: int) -> bool:
-    """One user's follow-up decision after a theta slot, from its own
-    subset code and the channel counts alone.
-
-    The user transmits iff its code is below both other codes in every
-    completion of the counts consistent with its view.  In theta patterns
-    this selects exactly one user.
-    """
-    rem1 = c1 - (own & 1)
-    rem2 = c2 - ((own >> 1) & 1)
-    pairs = [
-        (x, y)
-        for x in range(4)
-        for y in range(4)
-        if (x & 1) + (y & 1) == rem1 and ((x >> 1) & 1) + ((y >> 1) & 1) == rem2
-    ]
-    if not pairs:
-        raise ValueError("channel counts are inconsistent with the claimed subset")
-    return all(own < min(x, y) for x, y in pairs)
-
-
-def followup_transmitter(codes: tuple[int, int, int]) -> int:
-    """Index of the user designated to transmit after a theta slot (the
-    unique minimum subset code)."""
-    if slot_outcome(codes) != "followup":
-        raise ValueError("not a follow-up pattern")
-    low = min(codes)
-    assert codes.count(low) == 1
-    return codes.index(low)
-
-
-# ---------------------------------------------------------------------------
 # simulation
 
 

@@ -5,8 +5,9 @@ the self-play value is recomputed by a joint-state dynamic program over
 exact rationals and by brute force through the batch engine, the capture
 table by the full scalar scan without the numpy screen, the grid scans on
 dense meshgrids, the batch engine's closed states by the fixed-point
-iteration it used before its reverse search, and random machines are built
-straight from dicts rather than through the parser.
+iteration it used before its reverse search, its parked closed tails by the
+slot-by-slot chunk loop it used before parking, and random machines are
+built straight from dicts rather than through the parser.
 """
 
 from __future__ import annotations
@@ -18,7 +19,16 @@ import numpy as np
 import pytest
 
 from slotmac import StrategyMachine, capture_objective, solve_capture_table
-from slotmac.batch import CHUNK_SIZE, CompiledMachine, GameBatch, compile_machine, run_games_with_uniforms
+from slotmac.batch import (
+    _MOVES,
+    _MOVES_B,
+    CHUNK_SIZE,
+    CompiledMachine,
+    GameBatch,
+    _tables,
+    compile_machine,
+    run_games_with_uniforms,
+)
 from slotmac.capture import SCAN_POINTS, CaptureTable, _relaxation_feasible, three_user_relaxation
 from slotmac.dsl import StateSpec
 from slotmac.multichannel import _beta_theta_poly
@@ -130,6 +140,58 @@ def fixed_point_closed(m: CompiledMachine, moves=((0, 0), (0, 1), (1, 1), (1, 2)
     while (opened := closed[:-1] & ~closed[succ].all(axis=1)).any():
         closed[:-1] &= ~opened
     return closed[:-1]
+
+
+def slot_by_slot_play_chunk(ta, tb, horizon: int, n: int, uniforms, first: int = 1, states=None) -> GameBatch:
+    """The batch engine's chunk loop before it parked closed games: every
+    game is stepped slot by slot until both players are closed in all of
+    them, then one game per distinct joint state is played out slot by
+    slot.  Runs n games between the players whose ``_tables`` are ta and
+    tb, from slot ``first`` and the joint ``states`` (default the starts)
+    on.  ``uniforms(player, t)`` must return the n uniform draws for that
+    player and slot; it is called in slot order, player 0 then player 1,
+    while some game has that player outside its closed states."""
+    probs_a, last_a, step_a, closed_a, start_a = ta
+    probs_b, last_b, step_b, closed_b, start_b = tb
+    sa, sb = states or (np.full(n, start_a, dtype=np.intp), np.full(n, start_b, dtype=np.intp))
+    score_a, score_b, lead = (np.full(n, v, dtype=np.int32) for v in (0, 0, first - 1))  # lead: slots before a solo success
+    draw_a = draw_b = uniforms is not None
+    # decided once: a player with no closed state is never checked
+    watch_a, watch_b = draw_a and closed_a.any(), draw_b and closed_b.any()
+    try:
+        for t in range(first, horizon + 1):
+            if watch_a and closed_a.take(sa).all():
+                watch_a = draw_a = False
+            if watch_b and closed_b.take(sb).all():
+                watch_b = draw_b = False
+            if uniforms is not None and not (draw_a or draw_b):  # the rest is fixed by the joint state
+                w = len(probs_b) + 1  # sb may be 4N_b, an undefined successor
+                codes, inverse = np.unique(sa * w + sb, return_inverse=True)
+                tail = slot_by_slot_play_chunk(ta, tb, horizon, len(codes), None, t, (codes // w, codes % w))
+                score_a += tail.scores_a[inverse]
+                score_b += tail.scores_b[inverse]
+                return GameBatch(score_a, score_b, np.where(lead < t - 1, lead + 1, tail.first_success[inverse]))
+            final = t == horizon
+            xa = (uniforms(0, t) if draw_a else 0.0) < (last_a if final else probs_a).take(sa)
+            xb = (uniforms(1, t) if draw_b else 0.0) < (last_b if final else probs_b).take(sb)
+            move = 2 * xa.view(np.uint8)
+            move |= xb.view(np.uint8)
+            score_a += move == 2
+            score_b += move == 1
+            lead += (score_a | score_b) == 0
+            if not final:  # no transition after the final slot
+                sa = step_a.take(sa + move)
+                sb = step_b.take(sb + move)
+    except IndexError:
+        raise ValueError("no transition is defined for a reachable move") from None
+    # lead reaches the horizon only in games without a solo success
+    return GameBatch(score_a, score_b, np.where(lead < horizon, lead + 1, 0).astype(np.int32))
+
+
+def slot_by_slot_games(machine_a, machine_b, ua: np.ndarray, ub: np.ndarray) -> GameBatch:
+    """``run_games_with_uniforms`` through ``slot_by_slot_play_chunk``."""
+    ta, tb = _tables(compile_machine(machine_a), _MOVES), _tables(compile_machine(machine_b), _MOVES_B)
+    return slot_by_slot_play_chunk(ta, tb, ua.shape[1], len(ua), lambda player, t: (ua if player == 0 else ub)[:, t - 1])
 
 
 def scalar_scan_then_golden(f, lo: float, hi: float, points: int, tol: float = 1e-12) -> tuple[float, float]:

@@ -2,15 +2,18 @@
 pairing's draws pinned exactly, move-for-move agreement with the scalar
 engine on random override machines, the int16 limit on state ids and the
 failure on a hand-built table with a reachable undefined move.  A player
-draws only until every game has it in closed states (whose whole future
-plays probability 0 or 1), and once both players are closed each distinct
-joint state is played out once; the results still equal those of a full
-draw for every player, and those of the scalar engine game by game."""
+draws only while some game has it outside its closed states (whose whole
+future plays probability 0 or 1), and games with both players closed are
+parked and finished by binary lifting over their joint states; the results
+still equal those of a full draw for every player, those of the scalar
+engine game by game and those of the slot-by-slot loop the engine used
+before it parked games."""
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -23,7 +26,13 @@ from slotmac.batch import CHUNK_SIZE, compile_machine
 from slotmac.rng import DOMAIN_GAME
 from slotmac.strategies import BUILTIN_NAMES, builtin
 
-from conftest import ReplayStream, fixed_point_closed, full_draw_run_games, random_machine
+from conftest import (
+    ReplayStream,
+    fixed_point_closed,
+    full_draw_run_games,
+    random_machine,
+    slot_by_slot_games,
+)
 
 # (a, b) -> sha256(scores_a || scores_b || first_success)[:20] of
 # run_games(a, b, 9, 3000, seed=2024, pairing=(i, j)), i and j the indices
@@ -99,6 +108,50 @@ PINNED_RANDOM = {
 # seed=2024, pairing=(6, 3)): the second chunk has its own streams
 PINNED_TWO_CHUNKS = "9888b8659f2c6c518a8a"
 
+# (a, b) -> the same digest of run_games(a, b, 100, 16384, seed=2024,
+# pairing=(i, j)) for i <= j, the tournament benchmark's shape, recorded
+# with the slot-by-slot engine before games were parked
+PINNED_BENCH_SHAPE = {
+    ("never", "never"): "3381de4ca9f3a477f259",
+    ("never", "always"): "3e78d13ef6d36d7ff3d9",
+    ("never", "tft0"): "3381de4ca9f3a477f259",
+    ("never", "tft1"): "d4b00ed047a5dfb258f0",
+    ("never", "three_state"): "28240c33d9fcfddfda28",
+    ("never", "four_state"): "434eb6036c9a67a803a2",
+    ("never", "four_state_enhanced"): "0c8414af461f462faa0a",
+    ("always", "always"): "3381de4ca9f3a477f259",
+    ("always", "tft0"): "f15da58b8802b3edf4ca",
+    ("always", "tft1"): "3381de4ca9f3a477f259",
+    ("always", "three_state"): "4924f1f16fd7537dbcd0",
+    ("always", "four_state"): "e0fc8be5215be8abee65",
+    ("always", "four_state_enhanced"): "1c369bf49557dc8d7ec5",
+    ("tft0", "tft0"): "3381de4ca9f3a477f259",
+    ("tft0", "tft1"): "ab9b665b64cf9839cb7e",
+    ("tft0", "three_state"): "7bd6a9b36fbbd68f330d",
+    ("tft0", "four_state"): "05e7bf3aa2c0385b6f94",
+    ("tft0", "four_state_enhanced"): "bb81df486fd477b51fa8",
+    ("tft1", "tft1"): "3381de4ca9f3a477f259",
+    ("tft1", "three_state"): "886244ad1ceb975d6536",
+    ("tft1", "four_state"): "61854f2686f8b774e905",
+    ("tft1", "four_state_enhanced"): "f08970c217b226855a64",
+    ("three_state", "three_state"): "199f739d1423dd42e910",
+    ("three_state", "four_state"): "2086c3ddc7a37b4c2a88",
+    ("three_state", "four_state_enhanced"): "fc1dce7b04bfea74b0ca",
+    ("four_state", "four_state"): "b3c5e1833498c2bfeaa6",
+    ("four_state", "four_state_enhanced"): "84d9c46504b1f82556ec",
+    ("four_state_enhanced", "four_state_enhanced"): "f850c1649be404f159f7",
+}
+
+# (a, b) -> the same digest of run_games(a, b, 1000, CHUNK_SIZE + 5,
+# seed=2024, pairing=(i, j)), recorded with the slot-by-slot engine
+PINNED_LONG = {
+    ("four_state", "four_state"): "bc7134d6582e2c960d4f",
+    ("four_state_enhanced", "three_state"): "6084dcc9f5d1a5e6cc8e",
+    ("tft0", "tft1"): "c35a4dd88838f5fa83cf",
+    ("three_state", "never"): "7a5334b24dd201809761",
+    ("always", "four_state_enhanced"): "fb02582198c6549e09b2",
+}
+
 # (a, b) -> the same digest of run_games(a, b, 1, 3000, seed=2024,
 # pairing=(i, j)): only the final slot is played, with no transition after it
 PINNED_HORIZON_ONE = {
@@ -135,6 +188,20 @@ def test_horizon_one_draws_pinned(a, b):
     pairing = (BUILTIN_NAMES.index(a), BUILTIN_NAMES.index(b))
     batch = run_games(builtin(a), builtin(b), 1, 3000, seed=2024, pairing=pairing)
     assert _digest(batch) == PINNED_HORIZON_ONE[(a, b)]
+
+
+@pytest.mark.parametrize("a, b", sorted(PINNED_BENCH_SHAPE))
+def test_bench_shape_draws_pinned(a, b):
+    pairing = (BUILTIN_NAMES.index(a), BUILTIN_NAMES.index(b))
+    batch = run_games(builtin(a), builtin(b), 100, 16_384, seed=2024, pairing=pairing)
+    assert _digest(batch) == PINNED_BENCH_SHAPE[(a, b)]
+
+
+@pytest.mark.parametrize("a, b", sorted(PINNED_LONG))
+def test_long_two_chunk_draws_pinned(a, b):
+    pairing = (BUILTIN_NAMES.index(a), BUILTIN_NAMES.index(b))
+    batch = run_games(builtin(a), builtin(b), 1000, CHUNK_SIZE + 5, seed=2024, pairing=pairing)
+    assert _digest(batch) == PINNED_LONG[(a, b)]
 
 
 @pytest.mark.parametrize("seed", sorted(PINNED_RANDOM))
@@ -383,9 +450,10 @@ def test_probability_next_to_0_or_1_still_draws(field, near, streams):
     assert streams == [(DOMAIN_GAME, 0, 0, 0, 0)]
 
 
-# the closed-tail fast-forward: once every game has a player in states
-# whose whole future plays probability 0 or 1, that player stops drawing,
-# and once both have, one game per distinct joint state is played out
+# parking: once every game has a player in states whose whole future plays
+# probability 0 or 1, that player stops drawing, and once the games with
+# both players closed are half the live ones they are parked and finished
+# by binary lifting over their joint states
 
 BENCH_PAIRS = [(a, b) for i, a in enumerate(BUILTIN_NAMES) for b in BUILTIN_NAMES[i:]]
 
@@ -548,3 +616,113 @@ def test_undefined_transition_followed_as_the_other_player_closes():
 def test_negative_seed_rejected_once_a_stream_is_built():
     with pytest.raises(ValueError, match="seed -1"):
         run_games(builtin("four_state"), builtin("never"), 5, 10, seed=-1)
+
+
+def _holed(rng, machine) -> batch_module.CompiledMachine:
+    # the compiled table with up to three possible moves made undefined
+    compiled = compile_machine(machine)
+    trans = compiled.trans.copy()
+    for _ in range(int(rng.integers(0, 4))):
+        action = int(rng.integers(2))
+        trans[int(rng.integers(len(trans))), action, action + int(rng.integers(2))] = -1
+    return dataclasses.replace(compiled, trans=trans)
+
+
+def _outcome(engine, ma, mb, ua, ub):
+    try:
+        batch = engine(ma, mb, ua, ub)
+    except ValueError:
+        return "raises"
+    return batch.scores_a.tolist(), batch.scores_b.tolist(), batch.first_success.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    horizon=st.integers(1, 300),
+    games=st.integers(1, 40),
+    kinds=st.tuples(*[st.sampled_from(["any", "deterministic", "half", "coin head"])] * 2),
+    override=st.sampled_from(["", "a", "b", "both"]),
+    holes=st.sampled_from(["", "a", "b", "both"]),
+)
+def test_parking_matches_the_slot_by_slot_engine(seed, horizon, games, kinds, override, holes):
+    rng = np.random.default_rng(seed)
+    machines = []
+    for side, kind in zip("ab", kinds):
+        on = override in (side, "both")
+        machine = (_coin_head_machine(rng, on) if kind == "coin head" else
+                   random_machine(rng, deterministic=kind == "deterministic", half=kind == "half", override=on))
+        machines.append(_holed(rng, machine) if holes in (side, "both") else machine)
+    ua, ub = rng.random((games, horizon)), rng.random((games, horizon))
+    expected = _outcome(slot_by_slot_games, *machines, ua, ub)
+    assert _outcome(run_games_with_uniforms, *machines, ua, ub) == expected
+    if kinds[0] == kinds[1] and override in ("", "both") and holes in ("", "both"):
+        # self-play on one table
+        assert _outcome(run_games_with_uniforms, machines[0], machines[0], ua, ub) == _outcome(
+            slot_by_slot_games, machines[0], machines[0], ua, ub)
+
+
+@pytest.mark.parametrize("a, b, runs", [("always", "never", 100), ("tft0", "tft1", 16_384)])
+def test_deterministic_pairing_at_the_int32_horizon(a, b, runs):
+    # the closed tail takes 31 doubling steps, not 2**31 - 1 slots
+    horizon = 2**31 - 1
+    start = time.perf_counter()
+    batch = run_games(builtin(a), builtin(b), horizon, runs, seed=5)
+    assert time.perf_counter() - start < 1.0
+    for arr in (batch.scores_a, batch.scores_b, batch.first_success):
+        assert arr.dtype == np.int32 and arr.shape == (runs,)
+    expected = (horizon, 0) if a == "always" else (horizon // 2, horizon // 2 + 1)  # tft1 sends first
+    assert (batch.scores_a == expected[0]).all() and (batch.scores_b == expected[1]).all()
+    assert (batch.first_success == 1).all()
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The compiled table of every closed-state search ``_tables`` makes."""
+    searched = []
+    original = batch_module._tables
+
+    def counting(m, moves, closed=None):
+        if closed is None:
+            searched.append(m)
+        return original(m, moves, closed)
+
+    monkeypatch.setattr(batch_module, "_tables", counting)
+    return searched
+
+
+def test_self_play_searches_closed_states_once(searches):
+    four = compile_machine(builtin("four_state"))
+    run_games(four, four, 9, 100, seed=1)
+    run_games_with_uniforms(four, four, [[0.5] * 9], [[0.5] * 9])
+    assert searches == [four, four]
+    # a replaced table is a new table, searched for itself: the coin cycle
+    # has no closed state, its idle copy only closed ones
+    coins = compile_machine(_cycle(3, override=False))
+    idle = dataclasses.replace(coins, probs=np.zeros_like(coins.probs), last_probs=np.zeros_like(coins.probs))
+    searches.clear()
+    run_games(coins, coins, 9, 100, seed=1)
+    got = run_games(idle, idle, 9, 100, seed=1)
+    assert searches == [coins, idle]
+    assert not batch_module._tables(coins, batch_module._MOVES)[3].any()
+    assert batch_module._tables(idle, batch_module._MOVES)[3].all()
+    assert not (got.scores_a.any() or got.scores_b.any() or got.first_success.any())
+
+
+def _transmit_chain(n: int) -> batch_module.CompiledMachine:
+    # a deterministic walk through n states, transmitting in every third,
+    # whatever the moves; the last state repeats itself
+    probs = (np.arange(n) % 3 == 0).astype(float)
+    trans = np.repeat(np.minimum(np.arange(1, n + 1), n - 1), 6).reshape(n, 2, 3).astype(np.int16)
+    return batch_module.CompiledMachine(probs, probs, trans, 0)
+
+
+@pytest.mark.parametrize("horizon", range(1, 20))
+def test_search_reaches_as_deep_as_the_tail(horizon):
+    # parked on slot 1, every game walks one chain of joint states; while
+    # the chain still moves at the horizon, the search must reach exactly
+    # as deep as the tail, and one state short leaves the final move wrong
+    rng = np.random.default_rng(horizon)
+    ua, ub = rng.random((3, horizon)), rng.random((3, horizon))
+    for ma, mb in ((_transmit_chain(16), builtin("never")), (_transmit_chain(16), _transmit_chain(11))):
+        assert _outcome(run_games_with_uniforms, ma, mb, ua, ub) == _outcome(slot_by_slot_games, ma, mb, ua, ub)
