@@ -98,6 +98,11 @@ def _exec_tournament(opts: dict) -> CommandResult:
 
 
 def _transcripts(config: TournamentConfig, games_per_pair: int) -> str:
+    """transcripts.json, written directly: the bytes ``_json_text`` gives
+    {"transcripts": [{"games": [{"scores", "slots"}], "pairing"}]}, without
+    the pure-Python encoder ``json.dumps`` falls back to under ``indent``."""
+    rows = {(x, y): "\n{0}[\n{0}  {1},\n{0}  {2},\n{0}  {3}\n{0}]".format(" " * 12, x, y, x + y)
+            for x in (0, 1) for y in (0, 1)}  # the four [x, y, f] slot rows
     entries = []
     k = len(config.entrants)
     for i in range(k):
@@ -110,12 +115,14 @@ def _transcripts(config: TournamentConfig, games_per_pair: int) -> str:
                     RngStream(config.seed, (DOMAIN_MISC, i, j, g, 0)),
                     RngStream(config.seed, (DOMAIN_MISC, i, j, g, 1)),
                 )
-                games.append({
-                    "scores": list(transcript.scores),
-                    "slots": [[r.decisions[0], r.decisions[1], r.feedback] for r in transcript.slots],
-                })
-            entries.append({"pairing": [name_i, name_j], "games": games})
-    return _json_text({"transcripts": entries})
+                a, b = transcript.scores
+                slots = ",".join([rows[r.decisions] for r in transcript.slots])
+                games.append(f'\n        {{\n          "scores": [\n            {a},\n            {b}\n'
+                             f'          ],\n          "slots": [{slots}\n          ]\n        }}')
+            games_text = f"[{','.join(games)}\n      ]" if games else "[]"
+            entries.append(f'\n    {{\n      "games": {games_text},\n      "pairing": [\n'
+                           f"        {json.dumps(name_i)},\n        {json.dumps(name_j)}\n      ]\n    }}")
+    return f'{{\n  "transcripts": [{",".join(entries)}\n  ]\n}}\n'
 
 
 def _exec_analytics(opts: dict) -> CommandResult:

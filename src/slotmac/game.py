@@ -107,8 +107,9 @@ class Strategy(Protocol):
 class MachineSession:
     """Runs one StrategyMachine for one game.
 
-    Draws exactly one uniform per slot whatever the transmit probability is,
-    so a machine's draw sequence depends only on its stream, not its states.
+    Reads the t-th uniform of its stream at slot t whatever its state, so a
+    machine's draws depend only on its stream; draws the horizon when it
+    opens, in one call that yields the doubles per-slot calls would.
 
     When the machine was declared with the last-slot override it also runs a
     shadow copy of itself on the opponent's inferred actions.  The moment
@@ -119,7 +120,7 @@ class MachineSession:
 
     def __init__(self, machine: StrategyMachine, rng: np.random.Generator, horizon: int):
         self.machine = machine
-        self.rng = rng
+        self._uniforms = rng.random(horizon).tolist()
         self.horizon = horizon
         self.state = machine.start
         self.trace: list[str] = []
@@ -128,7 +129,7 @@ class MachineSession:
 
     def decide(self, t: int) -> Decision:
         self.trace.append(self.state)
-        u = self.rng.random()
+        u = self._uniforms[t - 1]
         p = self.machine.states[self.state].transmit_prob
         if self.foreign and t == self.horizon:
             p = 1.0

@@ -6,8 +6,10 @@ exact rationals and by brute force through the batch engine, the capture
 table by the full scalar scan without the numpy screen, the grid scans on
 dense meshgrids, the batch engine's closed states by the fixed-point
 iteration it used before its reverse search, its parked closed tails by the
-slot-by-slot chunk loop it used before parking, and random machines are
-built straight from dicts rather than through the parser.
+slot-by-slot chunk loop it used before parking, the CLI's transcripts.json
+by the dict-plus-``json.dumps`` builder it used before writing the text
+directly, and random machines are built straight from dicts rather than
+through the parser.
 """
 
 from __future__ import annotations
@@ -33,7 +35,9 @@ from slotmac.capture import SCAN_POINTS, CaptureTable, _relaxation_feasible, thr
 from slotmac.dsl import StateSpec
 from slotmac.multichannel import _beta_theta_poly
 from slotmac.optimize import golden_section
-from slotmac.rng import DOMAIN_GAME, RngStream
+from slotmac.cli import _json_text
+from slotmac.game import play_game
+from slotmac.rng import DOMAIN_GAME, DOMAIN_MISC, RngStream
 
 
 @pytest.fixture(scope="session")
@@ -286,17 +290,22 @@ def random_machine(
 
 
 class ReplayGenerator:
-    """Stands in for a numpy Generator, yielding a scripted uniform per
-    call.  Lets scalar games be driven with hand-picked draws."""
+    """Stands in for a numpy Generator, yielding the next scripted uniform
+    per call, or an array of the next ``size``.  Lets scalar games be driven
+    with hand-picked draws."""
 
     def __init__(self, values, owner=None):
         self.values = list(values)
         self.owner = owner
 
-    def random(self):
+    def random(self, size=None):
+        n = 1 if size is None else size
         if self.owner is not None:
-            self.owner.draws += 1
-        return self.values.pop(0)
+            self.owner.draws += n
+        drawn, self.values = self.values[:n], self.values[n:]
+        if len(drawn) < n:
+            raise IndexError("scripted uniforms ran out")
+        return drawn[0] if size is None else np.array(drawn)
 
 
 class ReplayStream:
@@ -329,3 +338,26 @@ class _ScriptedSession:
 
     def observe(self, t, own, feedback):
         pass
+
+
+def dict_transcripts(config, games_per_pair: int) -> str:
+    """transcripts.json as the CLI built it before it wrote the text
+    directly: the payload as dicts and lists, through ``_json_text``."""
+    entries = []
+    k = len(config.entrants)
+    for i in range(k):
+        for j in range(i, k):
+            (name_i, machine_i), (name_j, machine_j) = config.entrants[i], config.entrants[j]
+            games = []
+            for g in range(games_per_pair):
+                transcript = play_game(
+                    machine_i, machine_j, config.horizon,
+                    RngStream(config.seed, (DOMAIN_MISC, i, j, g, 0)),
+                    RngStream(config.seed, (DOMAIN_MISC, i, j, g, 1)),
+                )
+                games.append({
+                    "scores": list(transcript.scores),
+                    "slots": [[r.decisions[0], r.decisions[1], r.feedback] for r in transcript.slots],
+                })
+            entries.append({"pairing": [name_i, name_j], "games": games})
+    return _json_text({"transcripts": entries})

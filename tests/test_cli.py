@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import filecmp
+import hashlib
 import io
 import json
 import os
@@ -12,16 +13,29 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slotmac
-from slotmac import alpha_optimal, beta3, beta4, builtin, expected_y
+from slotmac import (
+    TournamentConfig,
+    alpha_optimal,
+    beta3,
+    beta4,
+    builtin,
+    cli,
+    expected_y,
+    run_games_with_uniforms,
+)
 from slotmac.cli import main
 from slotmac.dsl import machine_source
 from slotmac.multichannel import MAX_GRID
+from slotmac.rng import DOMAIN_MISC, RngStream
 from slotmac.strategies import DEFAULT_LINEUP, corpus_dir
+
+from conftest import dict_transcripts, random_machine
 
 
 def run(argv, capsys):
@@ -323,6 +337,100 @@ def test_tournament_transcripts(capsys, tmp_path):
     # opposite-phase mirrors alternate solo slots for the whole game
     crossed = entries[1]["games"][0]
     assert crossed["scores"] == [5, 5]
+
+
+BENCH_LINEUP = "four_state,three_state,tft0,tft1,always,never,four_state_enhanced"
+
+# (entrants, horizon, games per pairing, seed) -> sha256 of transcripts.json,
+# recorded when the file was still built as dicts and written by json.dumps
+PINNED_TRANSCRIPTS = {
+    (BENCH_LINEUP, 100, 2, 7000): "686e22387a78b888aba9bf5819393fcd56d62224b01a8cb89dfde2239275b142",
+    (BENCH_LINEUP, 1, 1, 7000): "3f32b18d7750f0f969281781763b994707da2e8549f3baef4329791173a3d767",
+    ("four_state,four_state_enhanced,never", 30, 3, 5):
+        "bb45d39a96cc9b723f0d571f3150b28569aa8b32140a95c17cb916ad21712fd3",
+    ("never", 1, 1, 3): "bb5797c5ec82c3fc040c6523c2a196e38ea146d259e5a32e29a8456761c3399d",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(PINNED_TRANSCRIPTS))
+def test_transcripts_bytes_pinned(shape, capsys, tmp_path):
+    entrants, horizon, games, seed = shape
+    code, _, _ = run(
+        ["tournament", "--entrants", entrants, "--horizon", str(horizon), "--runs", "8",
+         "--seed", str(seed), "--dump-transcripts", str(games), "--out-dir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0
+    text = (tmp_path / "transcripts.json").read_bytes()
+    assert hashlib.sha256(text).hexdigest() == PINNED_TRANSCRIPTS[shape]
+
+
+def _lineup(names, machines, horizon, seed):
+    return TournamentConfig(entrants=tuple(zip(names, machines)), horizon=horizon, runs=1, seed=seed)
+
+
+@pytest.mark.parametrize("names, sha", [
+    (BENCH_LINEUP.split(","), "bfb806a83de2afcbbd47b7c416c4c5f9dc15264f2dd3deccbb4b893350ef41af"),
+    (["never"], "860ae7876e3c646d3923edcee05a3241778586a072da352fd8a6cd86de955d7a"),
+])
+def test_transcripts_of_no_games_match_the_dict_builder(names, sha):
+    # no example games: every pairing still gets its empty "games" list
+    config = _lineup(names, [builtin(n) for n in names], 10, 1)
+    text = cli._transcripts(config, 0)
+    assert text == dict_transcripts(config, 0)
+    assert hashlib.sha256(text.encode()).hexdigest() == sha
+
+
+def _raised_or(fn):
+    try:
+        return fn()
+    except Exception as exc:  # the type is what is compared
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    picks=st.lists(
+        st.one_of(st.sampled_from(DEFAULT_LINEUP), st.tuples(st.integers(0, 2**32 - 1), st.booleans())),
+        min_size=1, max_size=3,
+    ),
+    names=st.lists(st.text(min_size=1, max_size=6), min_size=3, max_size=3, unique=True),
+    horizon=st.integers(1, 200),
+    games=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_transcripts_match_the_dict_builder(picks, names, horizon, games, seed):
+    # builtins and random machines (general p, override on and off) under
+    # arbitrary entrant names: the direct writer gives the json.dumps bytes
+    machines = [builtin(p) if isinstance(p, str) else random_machine(np.random.default_rng(p[0]), override=p[1])
+                for p in picks]
+    config = _lineup(names[: len(machines)], machines, horizon, seed)
+    assert _raised_or(lambda: cli._transcripts(config, games)) == _raised_or(lambda: dict_transcripts(config, games))
+
+
+def test_dumped_games_replay_through_the_batch_engine(capsys, tmp_path):
+    # each dumped game, redrawn from its named streams as whole blocks and
+    # played by the vectorized engine, scores the same and first succeeds
+    # in the same slot: a check that does not read the byte format
+    names, horizon, seed = BENCH_LINEUP.split(","), 40, 21
+    code, _, _ = run(
+        ["tournament", "--entrants", ",".join(names), "--horizon", str(horizon), "--runs", "8",
+         "--seed", str(seed), "--dump-transcripts", "2", "--out-dir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0
+    entries = iter(json.loads((tmp_path / "transcripts.json").read_text())["transcripts"])
+    for i in range(len(names)):
+        for j in range(i, len(names)):
+            entry = next(entries)
+            assert entry["pairing"] == [names[i], names[j]]
+            for g, game in enumerate(entry["games"]):
+                ua, ub = (RngStream(seed, (DOMAIN_MISC, i, j, g, p)).generator().random(horizon) for p in (0, 1))
+                batch = run_games_with_uniforms(builtin(names[i]), builtin(names[j]), ua[None], ub[None])
+                assert game["scores"] == [int(batch.scores_a[0]), int(batch.scores_b[0])], (i, j, g)
+                first = next((t for t, (_, _, f) in enumerate(game["slots"], 1) if f == 1), 0)
+                assert first == batch.first_success[0], (i, j, g)
+    assert next(entries, None) is None
 
 
 def test_seed_env_fallback(capsys, tmp_path, monkeypatch):

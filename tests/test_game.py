@@ -100,15 +100,21 @@ def test_state_traces_follow_transitions():
 
 
 def test_session_draws_one_uniform_per_slot():
-    # a machine in an all-deterministic state still consumes its draw, so
-    # state never desynchronizes the stream
-    m = builtin("tft0")
-    counting = ReplayStream([0.3] * 10)
+    # a slot in a deterministic state still owns its uniform, so state never
+    # desynchronizes the stream: slot t always reads the t-th draw
+    m = StrategyMachine("coin_then_wait", "c", {
+        "c": StateSpec(0.5, {(1, 1): "w", (1, 2): "c", (0, 0): "c", (0, 1): "c"}),
+        "w": StateSpec(0.0, {(0, 0): "c", (0, 1): "c"}),
+    })
+    uniforms = [0.1, 0.9, 0.7, 0.2, 0.8, 0.3, 0.6, 0.95, 0.4, 0.05]
+    counting = ReplayStream(uniforms)
     sess = MachineSession(m, counting.generator(), 10)
-    for t in range(1, 6):
+    for t in range(1, 11):
         a = sess.decide(t)
+        assert a == int(uniforms[t - 1] < m.states[sess.trace[-1]].transmit_prob), t
         sess.observe(t, a, a)  # pretend solo slot
-    assert counting.draws == 5
+    assert "w" in sess.trace and sess.trace.count("c") > 1
+    assert counting.draws == 10
 
 
 def test_scalar_matches_vectorized_on_shared_uniforms():
