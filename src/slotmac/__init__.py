@@ -21,6 +21,7 @@ from .dsl import (
     StrategyMachine,
     StrategyParseError,
     analyze_strategy,
+    check_machine,
     is_deterministic,
     machine_source,
     parse_strategy,

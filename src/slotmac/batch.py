@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsl import StrategyMachine, StrategyParseError, validate_machine
+from .dsl import StrategyMachine, check_machine
 from .game import check_horizon
 from .rng import DOMAIN_GAME, RngStream
 
@@ -68,9 +68,7 @@ class CompiledMachine:
 def compile_machine(machine: StrategyMachine | CompiledMachine) -> CompiledMachine:
     if isinstance(machine, CompiledMachine):
         return machine
-    errors = [d for d in validate_machine(machine) if d.severity == "error"]
-    if errors:
-        raise StrategyParseError(errors)
+    check_machine(machine)
     S = len(machine.states)
     size = S * (S + 1) if machine.last_slot_override else S
     if size > _MAX_STATES:

@@ -25,18 +25,23 @@ machine decides its opponent is not a copy of itself, it transmits on the
 final slot no matter what state it is in.  Each ``state ID transmit P``
 block lists transitions and is closed by ``end``.  ``#`` starts a comment.
 
+``analyze_strategy`` reads the text in one pass over its lines and then
+validates the machine it describes.  ``check_machine`` is the one check a
+machine passes before either engine plays it, however it was built.
+
 With two players a machine that transmitted can only see feedback 1 or 2,
 and one that idled only 0 or 1, so those are the transition keys a state
 must provide (and only for actions its transmit probability allows).
 Completeness is checked over states reachable from the start state;
-anything else is reported as a warning, not an error.
+anything else is reported as a warning, not an error.  A transition key
+outside (T|I, f=0|1|2) is an error.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 # Decision values used throughout the package.
 TRANSMIT = 1
@@ -44,6 +49,10 @@ IDLE = 0
 
 _ACTION_LETTER = {TRANSMIT: "T", IDLE: "I"}
 _ID_PATTERN = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_-]*\Z")
+_TOKEN = re.compile(r"\S+")
+_FEEDBACK = re.compile(r"f=([0-9]+)")
+# every transition key a state may hold, (action, feedback), and its name
+_KEYS = {(a, f): f"({_ACTION_LETTER[a]}, f={f})" for a in (TRANSMIT, IDLE) for f in (0, 1, 2)}
 
 # Transition keys an action makes possible: feedback counts own action plus
 # an opponent bit, so action a can only ever see feedback a or a+1.
@@ -112,178 +121,42 @@ class ParseReport:
         return [d for d in self.diagnostics if d.severity == "warning"]
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    line: int
-    column: int
+def _probability(toks: list[tuple[str, int, int]], error) -> float:
+    """PROB of a ``state ID transmit PROB`` header; 0.0 once ``error`` has
+    been told what is wrong with it."""
+    if len(toks) < 4 or toks[2][0] != "transmit":
+        error(toks[0], "state header must read: state ID transmit PROB")
+        return 0.0
+    if len(toks) > 4:
+        error(toks[4], "unexpected trailing tokens after state header")
+    text = toks[3][0]
+    try:
+        prob = float(text)
+    except ValueError:
+        error(toks[3], f"transmit probability {text!r} is not a number")
+        return 0.0
+    if not math.isfinite(prob) or not 0.0 <= prob <= 1.0:
+        error(toks[3], f"transmit probability {text} is outside [0, 1]")
+        return 0.0
+    return prob
 
 
-def _tokenize_line(raw: str, lineno: int) -> list[_Token]:
-    # strip comments, then split on whitespace keeping column positions
-    cut = raw.find("#")
-    if cut >= 0:
-        raw = raw[:cut]
-    return [
-        _Token(m.group(), lineno, m.start() + 1)
-        for m in re.finditer(r"\S+", raw)
-    ]
-
-
-class _LineParser:
-    """Parses one strategy source into a machine, collecting diagnostics."""
-
-    def __init__(self, text: str):
-        self.lines = [_tokenize_line(raw, i + 1) for i, raw in enumerate(text.splitlines())]
-        self.diagnostics: list[Diagnostic] = []
-        self.name: str | None = None
-        self.start: str | None = None
-        self.override = False
-        self.states: dict[str, StateSpec] = {}
-        self.state_lines: dict[str, int] = {}
-
-    def error(self, tok: _Token | None, message: str, lineno: int | None = None) -> None:
-        if tok is not None:
-            self.diagnostics.append(Diagnostic("error", message, tok.line, tok.column))
-        else:
-            self.diagnostics.append(Diagnostic("error", message, lineno, 1 if lineno else None))
-
-    def parse(self) -> ParseReport:
-        current: str | None = None  # state id being filled in
-        current_prob = 0.0
-        current_trans: dict[tuple[int, int], str] = {}
-        current_line = 0
-
-        def close_state() -> None:
-            nonlocal current
-            if current is not None:
-                self.states[current] = StateSpec(current_prob, dict(current_trans))
-                current = None
-
-        for toks in self.lines:
-            if not toks:
-                continue
-            head = toks[0]
-            if current is None:
-                if head.text == "machine":
-                    if self.name is not None:
-                        self.error(head, "duplicate machine declaration")
-                    elif self.states or self.start is not None:
-                        self.error(head, "machine declaration must come first")
-                    self.name = self._expect_id(toks, 1, "machine name")
-                elif self.name is None:
-                    self.error(head, "expected machine declaration before anything else")
-                    # keep going so later mistakes are still reported
-                    self.name = ""
-                    continue
-                elif head.text == "start":
-                    if self.start is not None:
-                        self.error(head, "duplicate start declaration")
-                    self.start = self._expect_id(toks, 1, "start state id")
-                elif head.text == "lastslot-override":
-                    arg = toks[1].text if len(toks) > 1 else None
-                    if arg != "on-foreign-behavior":
-                        self.error(head, "lastslot-override takes the single mode on-foreign-behavior")
-                    self.override = True
-                elif head.text == "state":
-                    sid = self._expect_id(toks, 1, "state id")
-                    prob = self._parse_state_header(toks)
-                    if sid is not None:
-                        if sid in self.states:
-                            self.error(head, f"duplicate state {sid!r}")
-                        current = sid
-                        current_prob = prob
-                        current_trans = {}
-                        current_line = head.line
-                        self.state_lines.setdefault(sid, head.line)
-                elif head.text == "end":
-                    self.error(head, "end outside a state block")
-                else:
-                    self.error(head, f"unknown directive {head.text!r}")
-            else:
-                if head.text == "on":
-                    key_target = self._parse_transition(toks)
-                    if key_target is not None:
-                        key, target = key_target
-                        if key in current_trans:
-                            a, f = key
-                            self.error(head, f"duplicate transition for ({_ACTION_LETTER[a]}, f={f})")
-                        else:
-                            current_trans[key] = target
-                elif head.text == "end":
-                    close_state()
-                else:
-                    self.error(head, f"expected transition or end, got {head.text!r}")
-        if current is not None:
-            self.error(None, f"state {current!r} is missing its end", lineno=current_line)
-            close_state()
-
-        machine: StrategyMachine | None = None
-        if not any(d.severity == "error" for d in self.diagnostics):
-            if self.start is None:
-                self.error(None, "missing start declaration", lineno=max(1, len(self.lines)))
-            else:
-                machine = StrategyMachine(
-                    name=self.name or "",
-                    start=self.start,
-                    states=self.states,
-                    last_slot_override=self.override,
-                )
-        return ParseReport(machine, self.diagnostics)
-
-    def _expect_id(self, toks: list[_Token], pos: int, what: str) -> str | None:
-        if len(toks) <= pos:
-            self.error(toks[-1], f"missing {what}")
-            return None
-        tok = toks[pos]
-        if not _ID_PATTERN.match(tok.text):
-            self.error(tok, f"invalid {what} {tok.text!r}")
-            return None
-        return tok.text
-
-    def _parse_state_header(self, toks: list[_Token]) -> float:
-        # state ID transmit PROB
-        if len(toks) < 4 or toks[2].text != "transmit":
-            self.error(toks[0], "state header must read: state ID transmit PROB")
-            return 0.0
-        if len(toks) > 4:
-            self.error(toks[4], "unexpected trailing tokens after state header")
-        tok = toks[3]
-        try:
-            prob = float(tok.text)
-        except ValueError:
-            self.error(tok, f"transmit probability {tok.text!r} is not a number")
-            return 0.0
-        if not math.isfinite(prob) or not 0.0 <= prob <= 1.0:
-            self.error(tok, f"transmit probability {tok.text} is outside [0, 1]")
-            return 0.0
-        return prob
-
-    def _parse_transition(self, toks: list[_Token]) -> tuple[tuple[int, int], str] | None:
-        # on T|I f=N -> ID
-        if len(toks) != 5 or toks[3].text != "->":
-            self.error(toks[0], "transition must read: on T|I f=N -> STATE")
-            return None
-        action_tok, feedback_tok, target_tok = toks[1], toks[2], toks[4]
-        if action_tok.text == "T":
-            action = TRANSMIT
-        elif action_tok.text == "I":
-            action = IDLE
-        else:
-            self.error(action_tok, f"action must be T or I, got {action_tok.text!r}")
-            return None
-        m = re.fullmatch(r"f=([0-9]+)", feedback_tok.text)
-        if not m:
-            self.error(feedback_tok, f"expected f=N, got {feedback_tok.text!r}")
-            return None
-        feedback = int(m.group(1))
-        if feedback not in (0, 1, 2):
-            self.error(feedback_tok, f"feedback must be 0, 1, or 2, got {feedback}")
-            return None
-        if not _ID_PATTERN.match(target_tok.text):
-            self.error(target_tok, f"invalid target state id {target_tok.text!r}")
-            return None
-        return (action, feedback), target_tok.text
+def _transition(toks: list[tuple[str, int, int]], error) -> tuple[tuple[int, int], str] | None:
+    """``on T|I f=N -> ID`` as ((action, feedback), target); None once
+    ``error`` has been told what is wrong with it."""
+    if len(toks) != 5 or toks[3][0] != "->":
+        return error(toks[0], "transition must read: on T|I f=N -> STATE")
+    action, feedback, target = toks[1][0], toks[2][0], toks[4][0]
+    if action not in ("T", "I"):
+        return error(toks[1], f"action must be T or I, got {action!r}")
+    m = _FEEDBACK.fullmatch(feedback)
+    if not m:
+        return error(toks[2], f"expected f=N, got {feedback!r}")
+    if int(m[1]) not in (0, 1, 2):
+        return error(toks[2], f"feedback must be 0, 1, or 2, got {int(m[1])}")
+    if not _ID_PATTERN.match(target):
+        return error(toks[4], f"invalid target state id {target!r}")
+    return (TRANSMIT if action == "T" else IDLE, int(m[1])), target
 
 
 def reachable_states(machine: StrategyMachine) -> set[str]:
@@ -317,81 +190,139 @@ def _possible_actions(prob: float) -> tuple[int, ...]:
 def validate_machine(machine: StrategyMachine) -> list[Diagnostic]:
     """Check a machine for structural problems.
 
-    Errors make the machine unusable: bad probabilities, dangling transition
-    targets, a missing start state, or a reachable state without a
-    transition for an (action, feedback) pair that can actually occur.
-    Unreachable states and transitions that can never fire are warnings.
+    Errors make the machine unusable: bad probabilities, a transition key
+    outside (T|I, f=0|1|2), dangling transition targets, a missing start
+    state, or a reachable state without a transition for an (action,
+    feedback) pair that can actually occur.  Unreachable states and
+    transitions that can never fire are warnings.
     """
-    diags: list[Diagnostic] = []
     if not machine.states:
-        diags.append(Diagnostic("error", "machine has no states"))
-        return diags
+        return [Diagnostic("error", "machine has no states")]
+    diags: list[Diagnostic] = []
     if machine.start not in machine.states:
         diags.append(Diagnostic("error", f"start state {machine.start!r} is not defined"))
+
+    def report(severity: str, sid: str, message: str) -> None:
+        diags.append(Diagnostic(severity, f"state {sid!r} {message}", state=sid))
+
     for sid, spec in machine.states.items():
-        if not _ID_PATTERN.match(sid):
+        if not (isinstance(sid, str) and _ID_PATTERN.match(sid)):
             diags.append(Diagnostic("error", f"state id {sid!r} is not a valid identifier", state=sid))
         p = spec.transmit_prob
         if not (isinstance(p, (int, float)) and math.isfinite(p) and 0.0 <= p <= 1.0):
-            diags.append(Diagnostic("error", f"state {sid!r} transmit probability {p!r} is outside [0, 1]", state=sid))
+            report("error", sid, f"transmit probability {p!r} is outside [0, 1]")
             continue
-        for (action, fb), target in spec.transitions.items():
-            if target not in machine.states:
-                diags.append(Diagnostic(
-                    "error",
-                    f"state {sid!r} transition ({_ACTION_LETTER[action]}, f={fb}) targets undefined state {target!r}",
-                    state=sid,
-                ))
-            if fb not in _feasible_feedback(action):
-                diags.append(Diagnostic(
-                    "warning",
-                    f"state {sid!r} transition ({_ACTION_LETTER[action]}, f={fb}) can never fire with two players",
-                    state=sid,
-                ))
-            elif action not in _possible_actions(p):
-                diags.append(Diagnostic(
-                    "warning",
-                    f"state {sid!r} transition on action {_ACTION_LETTER[action]} can never fire at transmit probability {p:g}",
-                    state=sid,
-                ))
+        actions = _possible_actions(p)
+        for key, target in spec.transitions.items():
+            if key not in _KEYS or not type(key[0]) is type(key[1]) is int:  # nor a bool, float or numpy int
+                report("error", sid, f"transition key {key!r} is not (T|I, f=0|1|2)")
+                continue
+            action, fb = key
+            if not isinstance(target, str) or target not in machine.states:
+                report("error", sid, f"transition {_KEYS[key]} targets undefined state {target!r}")
+            if fb - action not in (0, 1):  # the opponent's bit; see _feasible_feedback
+                report("warning", sid, f"transition {_KEYS[key]} can never fire with two players")
+            elif action not in actions:
+                report("warning", sid, f"transition on action {_ACTION_LETTER[action]} can never fire at transmit probability {p:g}")
     if any(d.severity == "error" for d in diags):
         # reachability is meaningless with dangling references present
         return diags
     reached = reachable_states(machine)
     for sid in machine.states:
         if sid not in reached:
-            diags.append(Diagnostic("warning", f"state {sid!r} is unreachable from the start state", state=sid))
+            report("warning", sid, "is unreachable from the start state")
     for sid, spec in machine.states.items():
-        if sid not in reached:
-            continue
-        for action in _possible_actions(spec.transmit_prob):
+        for action in _possible_actions(spec.transmit_prob) if sid in reached else ():
             for fb in _feasible_feedback(action):
                 if (action, fb) not in spec.transitions:
-                    diags.append(Diagnostic(
-                        "error",
-                        f"state {sid!r} is missing its transition for ({_ACTION_LETTER[action]}, f={fb})",
-                        state=sid,
-                    ))
+                    report("error", sid, f"is missing its transition for {_KEYS[action, fb]}")
     return diags
+
+
+def check_machine(machine: StrategyMachine) -> StrategyMachine:
+    """The machine itself when ``validate_machine`` finds no error in it;
+    raises StrategyParseError listing the errors otherwise."""
+    errors = [d for d in validate_machine(machine) if d.severity == "error"]
+    if errors:
+        raise StrategyParseError(errors)
+    return machine
 
 
 def analyze_strategy(text: str) -> ParseReport:
     """Parse and validate strategy text, reporting every diagnostic.
 
-    Machine-level diagnostics are given the source line of the state they
-    concern when one is known.
+    Walks the lines once, holding each token as (text, line, column).  The
+    validator's diagnostics about a state carry its header line.
     """
-    parser = _LineParser(text)
-    report = parser.parse()
-    if report.machine is not None:
-        extra = validate_machine(report.machine)
-        for d in extra:
-            if d.line is None and d.state in parser.state_lines:
-                d = Diagnostic(d.severity, d.message, parser.state_lines[d.state], 1, d.state)
-            report.diagnostics.append(d)
-        if report.errors:
-            report.machine = None
-    return report
+    diags: list[Diagnostic] = []
+
+    def error(tok: tuple[str, int, int], message: str) -> None:
+        diags.append(Diagnostic("error", message, tok[1], tok[2]))
+
+    def ident(toks: list[tuple[str, int, int]], what: str) -> str | None:
+        if len(toks) < 2:
+            return error(toks[-1], f"missing {what}")
+        if not _ID_PATTERN.match(toks[1][0]):
+            return error(toks[1], f"invalid {what} {toks[1][0]!r}")
+        return toks[1][0]
+
+    name = start = current = None  # current: the state whose block is open
+    override = False
+    states: dict[str, StateSpec] = {}
+    header: dict[str, int] = {}  # each state's header line
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, 1):
+        toks = [(m[0], lineno, m.start() + 1) for m in _TOKEN.finditer(raw.partition("#")[0])]
+        if not toks:
+            continue
+        head, word = toks[0], toks[0][0]
+        if current is not None:
+            if word == "on":
+                move = _transition(toks, error)
+                if move is not None and move[0] in trans:
+                    error(head, f"duplicate transition for {_KEYS[move[0]]}")
+                elif move is not None:
+                    trans[move[0]] = move[1]
+            elif word == "end":
+                states[current], current = StateSpec(prob, trans), None
+            else:
+                error(head, f"expected transition or end, got {word!r}")
+        elif word == "machine":
+            if name is not None:
+                error(head, "duplicate machine declaration")
+            elif states or start is not None:
+                error(head, "machine declaration must come first")
+            name = ident(toks, "machine name")
+        elif name is None:
+            error(head, "expected machine declaration before anything else")
+            name = ""  # keep going so later mistakes are still reported
+        elif word == "start":
+            if start is not None:
+                error(head, "duplicate start declaration")
+            start = ident(toks, "start state id")
+        elif word == "lastslot-override":
+            if len(toks) < 2 or toks[1][0] != "on-foreign-behavior":
+                error(head, "lastslot-override takes the single mode on-foreign-behavior")
+            override = True
+        elif word == "state":
+            sid, p = ident(toks, "state id"), _probability(toks, error)
+            if sid is not None:
+                if sid in states:
+                    error(head, f"duplicate state {sid!r}")
+                current, prob, trans, header[sid] = sid, p, {}, lineno
+        elif word == "end":
+            error(head, "end outside a state block")
+        else:
+            error(head, f"unknown directive {word!r}")
+    if current is not None:
+        diags.append(Diagnostic("error", f"state {current!r} is missing its end", header[current], 1))
+    elif not diags and start is None:
+        diags.append(Diagnostic("error", "missing start declaration", max(1, len(lines)), 1))
+    if diags:
+        return ParseReport(None, diags)
+    machine = StrategyMachine(name, start, states, override)
+    diags = [replace(d, line=header[d.state], column=1) if d.state in header else d for d in validate_machine(machine)]
+    return ParseReport(None if any(d.severity == "error" for d in diags) else machine, diags)
 
 
 def parse_strategy(text: str) -> StrategyMachine:

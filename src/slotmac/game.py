@@ -26,7 +26,7 @@ from typing import Protocol, runtime_checkable
 import math
 import operator
 
-from .dsl import IDLE, TRANSMIT, StrategyMachine, StrategyParseError, validate_machine
+from .dsl import IDLE, TRANSMIT, StrategyMachine, check_machine
 from .rng import RngStream
 
 import numpy as np
@@ -51,17 +51,20 @@ def check_horizon(horizon: int) -> int:
 
 @dataclass(frozen=True)
 class SlotRecord:
-    """What happened in one slot: both decisions, the shared feedback, and
-    the scoring player's index (present iff exactly one player transmitted)."""
+    """What happened in one slot: the slot and both decisions.  The shared
+    feedback and the scoring player's index (present iff exactly one player
+    transmitted) follow from the decisions, so they cannot disagree."""
 
     t: int
     decisions: tuple[Decision, Decision]
-    feedback: Feedback
-    scorer: int | None
 
-    def __post_init__(self) -> None:
-        if self.feedback != sum(self.decisions):
-            raise ValueError("feedback must equal the number of transmitters")
+    @property
+    def feedback(self) -> Feedback:
+        return self.decisions[0] + self.decisions[1]
+
+    @property
+    def scorer(self) -> int | None:
+        return self.decisions.index(TRANSMIT) if self.feedback == 1 else None
 
 
 @dataclass(frozen=True)
@@ -107,6 +110,10 @@ class Strategy(Protocol):
 class MachineSession:
     """Runs one StrategyMachine for one game.
 
+    Opening a session checks the machine (``dsl.check_machine``), so every
+    move it can make has a transition; only the forced final transmission
+    of a foreign game may leave a state with none, and then it stays put.
+
     Reads the t-th uniform of its stream at slot t whatever its state, so a
     machine's draws depend only on its stream; draws the horizon when it
     opens, in one call that yields the doubles per-slot calls would.
@@ -119,7 +126,7 @@ class MachineSession:
     """
 
     def __init__(self, machine: StrategyMachine, rng: np.random.Generator, horizon: int):
-        self.machine = machine
+        self.machine = check_machine(machine)
         self._uniforms = rng.random(horizon).tolist()
         self.horizon = horizon
         self.state = machine.start
@@ -136,40 +143,18 @@ class MachineSession:
         return TRANSMIT if u < p else IDLE
 
     def observe(self, t: int, own: Decision, feedback: Feedback) -> None:
-        spec = self.machine.states[self.state]
-        target = spec.transitions.get((own, feedback))
-        if target is None:
-            if not (self.foreign and t == self.horizon):
-                raise StrategyParseError([_missing(self.state, own, feedback)])
-            # the forced final transmission may leave a prob-0 state with no
-            # T transition; the game is over, stay put
-            target = self.state
-        self.state = target
+        self.state = self.machine.states[self.state].transitions.get((own, feedback), self.state)
         if self._shadow is not None and not self.foreign:
             opp = feedback - own
-            shadow_prob = self.machine.states[self._shadow].transmit_prob
-            if (opp == TRANSMIT and shadow_prob == 0.0) or (opp == IDLE and shadow_prob == 1.0):
+            shadow = self.machine.states[self._shadow]
+            if (opp == TRANSMIT and shadow.transmit_prob == 0.0) or (opp == IDLE and shadow.transmit_prob == 1.0):
                 self.foreign = True
-            else:
-                nxt = self.machine.states[self._shadow].transitions.get((opp, feedback))
-                if nxt is None:
-                    self.foreign = True
-                else:
-                    self._shadow = nxt
-
-
-def _missing(state: str, own: Decision, feedback: Feedback):
-    from .dsl import Diagnostic
-
-    letter = "T" if own == TRANSMIT else "I"
-    return Diagnostic("error", f"state {state!r} has no transition for ({letter}, f={feedback})", state=state)
+            else:  # a move the shadow could make, from a state it reached
+                self._shadow = shadow.transitions[opp, feedback]
 
 
 def _open_session(strategy, rng: RngStream, horizon: int) -> StrategySession:
     if isinstance(strategy, StrategyMachine):
-        errors = [d for d in validate_machine(strategy) if d.severity == "error"]
-        if errors:
-            raise StrategyParseError(errors)
         return MachineSession(strategy, rng.generator(), horizon)
     if isinstance(strategy, Strategy):
         return strategy.begin(rng.generator(), horizon)
@@ -198,13 +183,11 @@ def play_game(
         xa = _checked(session_a.decide(t))
         xb = _checked(session_b.decide(t))
         feedback = xa + xb
-        scorer: int | None = None
         if feedback == 1:
-            scorer = 0 if xa == TRANSMIT else 1
-            scores[scorer] += 1
+            scores[0 if xa == TRANSMIT else 1] += 1
         session_a.observe(t, xa, feedback)
         session_b.observe(t, xb, feedback)
-        records.append(SlotRecord(t, (xa, xb), feedback, scorer))
+        records.append(SlotRecord(t, (xa, xb)))
     traces = None
     if isinstance(session_a, MachineSession) and isinstance(session_b, MachineSession):
         traces = (tuple(session_a.trace), tuple(session_b.trace))

@@ -8,13 +8,16 @@ dense meshgrids, the batch engine's closed states by the fixed-point
 iteration it used before its reverse search, its parked closed tails by the
 slot-by-slot chunk loop it used before parking, the CLI's transcripts.json
 by the dict-plus-``json.dumps`` builder it used before writing the text
-directly, and random machines are built straight from dicts rather than
-through the parser.
+directly, ``.strat`` text by the token-object line parser that ran before the
+one-pass parser (``analyze_strategy`` here), and random machines are built
+straight from dicts rather than through the parser.
 """
 
 from __future__ import annotations
 
 import math
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +35,16 @@ from slotmac.batch import (
     run_games_with_uniforms,
 )
 from slotmac.capture import SCAN_POINTS, CaptureTable, _relaxation_feasible, three_user_relaxation
-from slotmac.dsl import StateSpec
+from slotmac.dsl import (
+    _ACTION_LETTER,
+    _ID_PATTERN,
+    IDLE,
+    TRANSMIT,
+    Diagnostic,
+    ParseReport,
+    StateSpec,
+    validate_machine,
+)
 from slotmac.multichannel import _beta_theta_poly
 from slotmac.optimize import golden_section
 from slotmac.cli import _json_text
@@ -361,3 +373,199 @@ def dict_transcripts(config, games_per_pair: int) -> str:
                 })
             entries.append({"pairing": [name_i, name_j], "games": games})
     return _json_text({"transcripts": entries})
+
+
+# The line parser as it was before the one-pass parser replaced it.
+
+
+@dataclass(frozen=True)
+class _Token:
+    text: str
+    line: int
+    column: int
+
+
+def _tokenize_line(raw: str, lineno: int) -> list[_Token]:
+    # strip comments, then split on whitespace keeping column positions
+    cut = raw.find("#")
+    if cut >= 0:
+        raw = raw[:cut]
+    return [
+        _Token(m.group(), lineno, m.start() + 1)
+        for m in re.finditer(r"\S+", raw)
+    ]
+
+
+class _LineParser:
+    """Parses one strategy source into a machine, collecting diagnostics."""
+
+    def __init__(self, text: str):
+        self.lines = [_tokenize_line(raw, i + 1) for i, raw in enumerate(text.splitlines())]
+        self.diagnostics: list[Diagnostic] = []
+        self.name: str | None = None
+        self.start: str | None = None
+        self.override = False
+        self.states: dict[str, StateSpec] = {}
+        self.state_lines: dict[str, int] = {}
+
+    def error(self, tok: _Token | None, message: str, lineno: int | None = None) -> None:
+        if tok is not None:
+            self.diagnostics.append(Diagnostic("error", message, tok.line, tok.column))
+        else:
+            self.diagnostics.append(Diagnostic("error", message, lineno, 1 if lineno else None))
+
+    def parse(self) -> ParseReport:
+        current: str | None = None  # state id being filled in
+        current_prob = 0.0
+        current_trans: dict[tuple[int, int], str] = {}
+        current_line = 0
+
+        def close_state() -> None:
+            nonlocal current
+            if current is not None:
+                self.states[current] = StateSpec(current_prob, dict(current_trans))
+                current = None
+
+        for toks in self.lines:
+            if not toks:
+                continue
+            head = toks[0]
+            if current is None:
+                if head.text == "machine":
+                    if self.name is not None:
+                        self.error(head, "duplicate machine declaration")
+                    elif self.states or self.start is not None:
+                        self.error(head, "machine declaration must come first")
+                    self.name = self._expect_id(toks, 1, "machine name")
+                elif self.name is None:
+                    self.error(head, "expected machine declaration before anything else")
+                    # keep going so later mistakes are still reported
+                    self.name = ""
+                    continue
+                elif head.text == "start":
+                    if self.start is not None:
+                        self.error(head, "duplicate start declaration")
+                    self.start = self._expect_id(toks, 1, "start state id")
+                elif head.text == "lastslot-override":
+                    arg = toks[1].text if len(toks) > 1 else None
+                    if arg != "on-foreign-behavior":
+                        self.error(head, "lastslot-override takes the single mode on-foreign-behavior")
+                    self.override = True
+                elif head.text == "state":
+                    sid = self._expect_id(toks, 1, "state id")
+                    prob = self._parse_state_header(toks)
+                    if sid is not None:
+                        if sid in self.states:
+                            self.error(head, f"duplicate state {sid!r}")
+                        current = sid
+                        current_prob = prob
+                        current_trans = {}
+                        current_line = head.line
+                        self.state_lines.setdefault(sid, head.line)
+                elif head.text == "end":
+                    self.error(head, "end outside a state block")
+                else:
+                    self.error(head, f"unknown directive {head.text!r}")
+            else:
+                if head.text == "on":
+                    key_target = self._parse_transition(toks)
+                    if key_target is not None:
+                        key, target = key_target
+                        if key in current_trans:
+                            a, f = key
+                            self.error(head, f"duplicate transition for ({_ACTION_LETTER[a]}, f={f})")
+                        else:
+                            current_trans[key] = target
+                elif head.text == "end":
+                    close_state()
+                else:
+                    self.error(head, f"expected transition or end, got {head.text!r}")
+        if current is not None:
+            self.error(None, f"state {current!r} is missing its end", lineno=current_line)
+            close_state()
+
+        machine: StrategyMachine | None = None
+        if not any(d.severity == "error" for d in self.diagnostics):
+            if self.start is None:
+                self.error(None, "missing start declaration", lineno=max(1, len(self.lines)))
+            else:
+                machine = StrategyMachine(
+                    name=self.name or "",
+                    start=self.start,
+                    states=self.states,
+                    last_slot_override=self.override,
+                )
+        return ParseReport(machine, self.diagnostics)
+
+    def _expect_id(self, toks: list[_Token], pos: int, what: str) -> str | None:
+        if len(toks) <= pos:
+            self.error(toks[-1], f"missing {what}")
+            return None
+        tok = toks[pos]
+        if not _ID_PATTERN.match(tok.text):
+            self.error(tok, f"invalid {what} {tok.text!r}")
+            return None
+        return tok.text
+
+    def _parse_state_header(self, toks: list[_Token]) -> float:
+        # state ID transmit PROB
+        if len(toks) < 4 or toks[2].text != "transmit":
+            self.error(toks[0], "state header must read: state ID transmit PROB")
+            return 0.0
+        if len(toks) > 4:
+            self.error(toks[4], "unexpected trailing tokens after state header")
+        tok = toks[3]
+        try:
+            prob = float(tok.text)
+        except ValueError:
+            self.error(tok, f"transmit probability {tok.text!r} is not a number")
+            return 0.0
+        if not math.isfinite(prob) or not 0.0 <= prob <= 1.0:
+            self.error(tok, f"transmit probability {tok.text} is outside [0, 1]")
+            return 0.0
+        return prob
+
+    def _parse_transition(self, toks: list[_Token]) -> tuple[tuple[int, int], str] | None:
+        # on T|I f=N -> ID
+        if len(toks) != 5 or toks[3].text != "->":
+            self.error(toks[0], "transition must read: on T|I f=N -> STATE")
+            return None
+        action_tok, feedback_tok, target_tok = toks[1], toks[2], toks[4]
+        if action_tok.text == "T":
+            action = TRANSMIT
+        elif action_tok.text == "I":
+            action = IDLE
+        else:
+            self.error(action_tok, f"action must be T or I, got {action_tok.text!r}")
+            return None
+        m = re.fullmatch(r"f=([0-9]+)", feedback_tok.text)
+        if not m:
+            self.error(feedback_tok, f"expected f=N, got {feedback_tok.text!r}")
+            return None
+        feedback = int(m.group(1))
+        if feedback not in (0, 1, 2):
+            self.error(feedback_tok, f"feedback must be 0, 1, or 2, got {feedback}")
+            return None
+        if not _ID_PATTERN.match(target_tok.text):
+            self.error(target_tok, f"invalid target state id {target_tok.text!r}")
+            return None
+        return (action, feedback), target_tok.text
+
+
+def analyze_strategy(text: str) -> ParseReport:
+    """Parse and validate strategy text, reporting every diagnostic.
+
+    Machine-level diagnostics are given the source line of the state they
+    concern when one is known.
+    """
+    parser = _LineParser(text)
+    report = parser.parse()
+    if report.machine is not None:
+        extra = validate_machine(report.machine)
+        for d in extra:
+            if d.line is None and d.state in parser.state_lines:
+                d = Diagnostic(d.severity, d.message, parser.state_lines[d.state], 1, d.state)
+            report.diagnostics.append(d)
+        if report.errors:
+            report.machine = None
+    return report

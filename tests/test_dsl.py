@@ -19,6 +19,7 @@ from slotmac import (
 from slotmac.dsl import StateSpec, StrategyMachine
 from slotmac.strategies import BUILTIN_NAMES, corpus_dir, load_strategy_file
 
+from conftest import analyze_strategy as line_parser_analyze
 from conftest import random_machine
 
 GOOD = """
@@ -209,3 +210,66 @@ def test_parser_total_on_shuffled_directives(lines):
         parse_strategy("\n".join(lines))
     except StrategyParseError as err:
         assert err.diagnostics
+
+
+# directive lines, well formed and not, for the parser-oracle properties
+DIRECTIVES = [
+    "machine m", "machine", "machine bad!", "machine m extra", "start a", "start", "start !a", "start b",
+    "state a transmit 0.5", "state b transmit 0", "state a transmit 1.5", "state a transmit x", "state a",
+    "state a send 0.5", "state a transmit 0.5 junk", "state", "state a transmit nan", "state a transmit -0",
+    "on T f=1 -> a", "on I f=0 -> a", "on I f=1 -> b", "on T f=2 -> a", "on X f=1 -> a", "on T f=3 -> a",
+    "on T f=02 -> a", "on T g=1 -> a", "on T f=1 => a", "on T f=1 -> !a", "on T f=1 -> a b", "on",
+    "on I f=2 -> a", "end", "end extra", "lastslot-override on-foreign-behavior", "lastslot-override",
+    "lastslot-override off", "# note", "", "wibble", "  on T f=1 -> a  # c", "\ton I f=0 -> a",
+]
+SOURCES = [GOOD] + [f.read_text() for f in sorted(corpus_dir().glob("*.strat"))]
+
+
+def _same_as_line_parser(text):
+    # field for field and in order: reprs show dict order and tell -0.0 from 0.0
+    new, old = analyze_strategy(text), line_parser_analyze(text)
+    assert (repr(new.machine), repr(new.diagnostics)) == (repr(old.machine), repr(old.diagnostics))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=200), st.text(alphabet="machinestartTIf=012->#\n\r\t .!_ab\x85", max_size=300)))
+def test_one_pass_parser_matches_line_parser_on_any_text(text):
+    _same_as_line_parser(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["", "  ", "\t"]), st.sampled_from(DIRECTIVES)), max_size=16))
+def test_one_pass_parser_matches_line_parser_on_shuffled_directives(lines):
+    _same_as_line_parser("\n".join(indent + line for indent, line in lines))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(SOURCES),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["delete", "insert", "swap", "edit"]),
+            st.integers(0, 60),
+            st.integers(0, 60),
+            st.sampled_from(DIRECTIVES),
+            st.text(alphabet="0123456789.-TIf=>#ab! ", max_size=3),
+        ),
+        max_size=4,
+    ),
+)
+def test_one_pass_parser_matches_line_parser_on_edited_sources(source, edits):
+    lines = source.splitlines()
+    for op, i, j, line, chars in edits:
+        if op == "insert":
+            lines.insert(i % (len(lines) + 1), line)
+            continue
+        if not lines:
+            continue
+        i, j = i % len(lines), j % len(lines)
+        if op == "delete":
+            del lines[i]
+        elif op == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        else:  # overwrite the line's characters from column j on
+            lines[i] = lines[i][:j] + chars + lines[i][j + len(chars):]
+    _same_as_line_parser("\n".join(lines) + "\n")

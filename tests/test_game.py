@@ -2,20 +2,28 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slotmac import (
     RngStream,
+    SlotRecord,
     StrategyParseError,
     TournamentConfig,
     builtin,
+    compile_machine,
     merit_report,
     play_capture_episode,
     play_game,
     run_games,
     run_games_with_uniforms,
     run_tournament,
+    validate_machine,
 )
 from slotmac.capture import FixedProbabilityPolicy
 from slotmac.dsl import StateSpec, StrategyMachine
@@ -62,11 +70,17 @@ def test_tft0_vs_tft1_alternates_perfectly():
 
 
 def test_feedback_is_transmitter_count():
+    # feedback and scorer are derived from the decisions, for all four pairs
+    for x, y in itertools.product((0, 1), repeat=2):
+        rec = SlotRecord(1, (x, y))
+        assert rec.feedback == x + y
+        assert rec.scorer == {(1, 0): 0, (0, 1): 1}.get((x, y))
     ra, rb = _streams(7)
     t = play_game(builtin("four_state"), builtin("three_state"), 60, ra, rb)
     for rec in t.slots:
         assert rec.feedback == sum(rec.decisions)
         assert rec.scorer == (rec.decisions.index(1) if rec.feedback == 1 else None)
+    assert tuple(sum(rec.scorer == p for rec in t.slots) for p in (0, 1)) == t.scores
 
 
 def test_scores_count_solo_slots():
@@ -197,6 +211,64 @@ def test_invalid_machine_rejected_before_play():
     ra, rb = _streams()
     with pytest.raises(StrategyParseError):
         play_game(broken, builtin("never"), 5, ra, rb)
+
+
+@pytest.mark.parametrize("key", [(0, -1), (1, 3), (2, 0), "zz", (0,)], ids=repr)
+def test_transition_key_outside_the_domain_is_rejected(key):
+    # (0, -1) once passed with a warning and compiled into the (T, f=2)
+    # slot, so the batch engine went to b where the scalar engine stayed in a
+    coin = StateSpec(0.5, {(0, 0): "a", (0, 1): "a", (1, 1): "a", (1, 2): "a", key: "b"})
+    m = StrategyMachine("odd", "a", {"a": coin, "b": StateSpec(0.0, {(0, 0): "b", (0, 1): "b"})})
+    errors = [d for d in validate_machine(m) if d.severity == "error"]
+    assert [d.message for d in errors] == [f"state 'a' transition key {key!r} is not (T|I, f=0|1|2)"]
+    with pytest.raises(StrategyParseError):
+        compile_machine(m)
+    with pytest.raises(StrategyParseError):
+        run_games(m, builtin("four_state"), 5, 10, seed=0)
+    with pytest.raises(StrategyParseError):
+        play_game(m, builtin("four_state"), 5, *_streams())
+
+
+EDIT_KEYS = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (0, -1), (1, 3), (2, 0), "zz", (0,), (1.0, 1), (True, 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.booleans(),
+    # (key, target) set on a random state; a None target deletes the key
+    st.lists(st.tuples(st.sampled_from(EDIT_KEYS), st.sampled_from(["1", "2", "3", "nowhere", 5, ["1"], None])), max_size=3),
+    st.integers(1, 12),
+)
+def test_both_engines_play_exactly_the_checked_machines(seed, override, seat_b, edits, horizon):
+    rng = np.random.default_rng(seed)
+    machine = random_machine(rng, override=override)
+    states = dict(machine.states)
+    for key, target in edits:
+        sid = list(states)[int(rng.integers(len(states)))]
+        transitions = dict(states[sid].transitions)
+        if target is None:
+            transitions.pop(key, None)
+        else:
+            transitions[key] = target
+        states[sid] = StateSpec(states[sid].transmit_prob, transitions)
+    machine = dataclasses.replace(machine, states=states)
+    opponent = random_machine(rng, override=bool(rng.integers(2)))
+    pair = (opponent, machine) if seat_b else (machine, opponent)
+    ua, ub = rng.random((6, horizon)), rng.random((6, horizon))
+    diags = validate_machine(machine)  # never raises, whatever the keys
+    if any(d.severity == "error" for d in diags):
+        with pytest.raises(StrategyParseError):
+            compile_machine(machine)
+        with pytest.raises(StrategyParseError):
+            play_game(*pair, horizon, ReplayStream(ua[0]), ReplayStream(ub[0]))
+        return
+    batch = run_games_with_uniforms(*pair, ua, ub)
+    for g in range(len(ua)):
+        t = play_game(*pair, horizon, ReplayStream(ua[g]), ReplayStream(ub[g]))
+        assert t.scores == (batch.scores_a[g], batch.scores_b[g])
+        assert batch.first_success[g] == (t.first_success or 0)
 
 
 def test_decisions_validated():
