@@ -340,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("validate", help="parse and validate .strat files")
     v.add_argument("files", nargs="+", type=Path)
-    v.add_argument("--echo", action="store_true", help="print the canonical form of valid files")
+    v.add_argument("--echo", action="store_true", help="print the canonical form of valid files alone on stdout, the rest on stderr")
 
     r = sub.add_parser("replay", help="re-run a command from its manifest")
     r.add_argument("manifest", type=Path)
@@ -383,12 +383,14 @@ def _run_validate(args: argparse.Namespace) -> int:
             status = 1
             continue
         report = analyze_strategy(text)
+        # with --echo, stdout holds the canonical sources alone
+        notes = sys.stderr if args.echo else sys.stdout
         for diag in report.diagnostics:
-            print(f"{path}:{diag.render()}")
+            print(f"{path}:{diag.render()}", file=notes)
         if report.machine is None:
             status = 1
         else:
-            print(f"{path}: ok ({report.machine.name}, {len(report.machine.states)} states)")
+            print(f"{path}: ok ({report.machine.name}, {len(report.machine.states)} states)", file=notes)
             if args.echo:
                 print(machine_source(report.machine), end="")
     return status

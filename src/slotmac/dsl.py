@@ -190,16 +190,20 @@ def _possible_actions(prob: float) -> tuple[int, ...]:
 def validate_machine(machine: StrategyMachine) -> list[Diagnostic]:
     """Check a machine for structural problems.
 
-    Errors make the machine unusable: bad probabilities, a transition key
+    Errors make the machine unusable: a container of the wrong type (states
+    not a dict, a state not a ``StateSpec``, its transitions not a dict, a
+    start that is not a string), bad probabilities, a transition key
     outside (T|I, f=0|1|2), dangling transition targets, a missing start
     state, or a reachable state without a transition for an (action,
     feedback) pair that can actually occur.  Unreachable states and
     transitions that can never fire are warnings.
     """
+    if not isinstance(machine.states, dict):
+        return [Diagnostic("error", f"states {machine.states!r} is not a dict")]
     if not machine.states:
         return [Diagnostic("error", "machine has no states")]
     diags: list[Diagnostic] = []
-    if machine.start not in machine.states:
+    if not isinstance(machine.start, str) or machine.start not in machine.states:
         diags.append(Diagnostic("error", f"start state {machine.start!r} is not defined"))
 
     def report(severity: str, sid: str, message: str) -> None:
@@ -208,6 +212,9 @@ def validate_machine(machine: StrategyMachine) -> list[Diagnostic]:
     for sid, spec in machine.states.items():
         if not (isinstance(sid, str) and _ID_PATTERN.match(sid)):
             diags.append(Diagnostic("error", f"state id {sid!r} is not a valid identifier", state=sid))
+        if not (isinstance(spec, StateSpec) and isinstance(spec.transitions, dict)):
+            report("error", sid, f"is {spec!r}, not a StateSpec with a dict of transitions")
+            continue
         p = spec.transmit_prob
         if not (isinstance(p, (int, float)) and math.isfinite(p) and 0.0 <= p <= 1.0):
             report("error", sid, f"transmit probability {p!r} is outside [0, 1]")

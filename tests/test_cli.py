@@ -22,6 +22,7 @@ import slotmac
 from slotmac import (
     TournamentConfig,
     alpha_optimal,
+    analyze_strategy,
     beta3,
     beta4,
     builtin,
@@ -59,11 +60,18 @@ def test_validate_good_file(capsys):
 
 
 def test_validate_echo_roundtrip(capsys, tmp_path):
-    path = corpus_dir() / "three_state.strat"
-    code, out, _ = run(["validate", "--echo", str(path)], capsys)
+    # stdout is the canonical source alone; the ok line and any warning
+    # (here an unreachable state) go to stderr
+    path = tmp_path / "extra.strat"
+    path.write_text(machine_source(builtin("three_state")) + "state spare transmit 0\nend\n")
+    code, out, err = run(["validate", "--echo", str(path)], capsys)
     assert code == 0
-    echoed = out.split("\n", 1)[1]
-    assert echoed.strip() == machine_source(builtin("three_state")).strip()
+    assert "warning" in err and ": ok (" in err
+    echo = tmp_path / "echo.strat"
+    echo.write_text(out)
+    code, again, err = run(["validate", "--echo", str(echo)], capsys)
+    assert code == 0 and again == out and ": ok (" in err
+    assert out == machine_source(analyze_strategy(path.read_text()).machine)
 
 
 def test_validate_bad_file(capsys, tmp_path):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from slotmac import (
     StrategyParseError,
     analyze_strategy,
     builtin,
+    check_machine,
     is_deterministic,
     machine_source,
     parse_strategy,
@@ -155,6 +158,22 @@ def test_validate_programmatic_machine():
     assert any("start state 'nowhere' is not defined" in d.message for d in diags)
     m = StrategyMachine("x", "a", {"a": StateSpec(1.5, {})})
     assert any("outside [0, 1]" in d.message for d in validate_machine(m))
+
+
+_IDLE_LOOP = {(0, 0): "a", (0, 1): "a"}
+
+
+@pytest.mark.parametrize("machine, message", [
+    (StrategyMachine("x", ["a"], {"a": StateSpec(0.0, _IDLE_LOOP)}), "start state ['a'] is not defined"),
+    (StrategyMachine("x", "a", {"a": (0.0, _IDLE_LOOP)}), "state 'a' is (0.0, "),
+    (StrategyMachine("x", "a", {"a": StateSpec(0.0, list(_IDLE_LOOP.items()))}), "not a StateSpec with a dict"),
+    (StrategyMachine("x", "a", [("a", StateSpec(0.0, _IDLE_LOOP))]), "is not a dict"),
+], ids=["list_start", "tuple_state", "list_transitions", "list_states"])
+def test_containers_of_the_wrong_type_are_errors(machine, message):
+    diags = validate_machine(machine)
+    assert any(d.severity == "error" and message in d.message for d in diags)
+    with pytest.raises(StrategyParseError, match=re.escape(message)):
+        check_machine(machine)
 
 
 def test_validate_clean_builtins():

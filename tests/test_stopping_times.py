@@ -3,6 +3,7 @@ and the input checks the loop owns."""
 
 from __future__ import annotations
 
+import functools
 import sys
 import threading
 
@@ -11,10 +12,12 @@ import pytest
 from slotmac import capture
 from slotmac.capture import (
     CHUNK_SIZE,
+    CaptureTable,
     FixedProbabilityPolicy,
     GroupSplittingPolicy,
     simulate_capture,
     simulate_virtual_pair,
+    solve_capture_table,
 )
 from slotmac.multichannel import (
     simulate_multichannel,
@@ -25,6 +28,19 @@ from slotmac.rng import RngStream
 
 SKEWED = (0.7, 0.1, 0.1, 0.1)
 FAMILY = (0.4, 0.3, 0.6)
+
+@functools.cache
+def _table(n_max):
+    return solve_capture_table(n_max)
+
+
+def _with_prob(table, n, p):
+    """``table`` with p_n replaced: a policy off the inversion path at n
+    that splits into sizes on it."""
+    probs = list(table.probs)
+    probs[n] = p
+    return CaptureTable(tuple(probs), table.values)
+
 
 # name -> (call, (episodes, completed, censored, repr(mean), repr(stderr))).
 # The values were recorded before the four simulators shared one loop;
@@ -84,6 +100,36 @@ PINNED = {
         lambda t: simulate_multichannel(3, 1, 3000, seed=9, table=t),
         (3000, 3000, 0, "1.7736666666666667", "0.015620683168637635"),
     ),
+    # recorded before the capture step drew its binomials from inversion
+    # tables: sizes on and off the table path, the p > 0.5 flip and p = 0
+    "capture_hundred_three_chunks": (
+        lambda t: simulate_capture(GroupSplittingPolicy(_table(100)), 100, 140_000, seed=12),
+        (140000, 140000, 0, "2.363985714285714", "0.004112340708160501"),
+    ),
+    "capture_fixed_half_fallback": (
+        lambda t: simulate_capture(FixedProbabilityPolicy(0.5), 100, 3000, seed=13, max_slots=40),
+        (3000, 0, 3000, "nan", "nan"),
+    ),
+    "capture_split_from_half_fallback": (
+        lambda t: simulate_capture(GroupSplittingPolicy(_with_prob(_table(100), 100, 0.5)), 100, 20_000, seed=14),
+        (20000, 20000, 0, "3.3612", "0.01090126918681922"),
+    ),
+    "capture_fixed_zero_no_draw": (
+        lambda t: simulate_capture(FixedProbabilityPolicy(0.0), 5, 500, seed=15, max_slots=30),
+        (500, 0, 500, "nan", "nan"),
+    ),
+    "capture_fixed_flip": (
+        lambda t: simulate_capture(FixedProbabilityPolicy(0.9), 6, 3000, seed=16, max_slots=600),
+        (3000, 103, 2897, "321.0388349514563", "17.28815879384694"),
+    ),
+    "capture_one_user": (
+        lambda t: simulate_capture(GroupSplittingPolicy(_table(100)), 1, 1000, seed=17),
+        (1000, 1000, 0, "1.0", "0.0"),
+    ),
+    "dispatch_three_one_three_chunks": (
+        lambda t: simulate_multichannel(3, 1, 140_000, seed=18),
+        (140000, 140000, 0, "1.7926285714285715", "0.0023403335656230154"),
+    ),
 }
 
 
@@ -99,7 +145,8 @@ def test_simulator_draws_are_pinned(name, capture_table):
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
-@pytest.mark.parametrize("name", ["capture_two_chunks", "two_user_two_chunks", "three_two_two_chunks"])
+@pytest.mark.parametrize("name", ["capture_two_chunks", "capture_hundred_three_chunks", "two_user_two_chunks",
+                                  "three_two_two_chunks"])
 def test_worker_count_changes_no_bit(name, cpus, capture_table, monkeypatch):
     monkeypatch.setattr(capture, "_usable_cpus", lambda: cpus)
     call, expected = PINNED[name]
