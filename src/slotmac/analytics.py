@@ -17,8 +17,8 @@ is itself exact to well below double precision rounding.
 ``exact_self_play_alpha`` cross-checks the closed form from the machine
 itself: when every transmit probability is 0, 1/2, or 1, a game is a
 deterministic function of one fair bit per player per slot, and counting
-the bit patterns that reach each joint state slot by slot averages the
-score over all 2^(2T) of them exactly, in time polynomial in T.
+the bit patterns that reach each of the J states of the joint chain slot
+by slot averages the score over all 4^T of them exactly, in O(T·J) steps.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 # run_games_with_uniforms is unused here; perfbench's traced pass patches it by this name
-from .batch import CompiledMachine, compile_machine, run_games_with_uniforms  # noqa: F401
+from .batch import CompiledMachine, _joint_chain, compile_machine, run_games_with_uniforms  # noqa: F401
 from .dsl import StrategyMachine
 from .game import check_horizon
 
@@ -83,39 +83,28 @@ def exact_self_play_alpha(
 ) -> Fraction:
     """Average per-player self-play score over all 4^T bit patterns.
 
-    Valid only for machines whose transmit probabilities are all 0, 1/2, or
-    1: then each game is determined by one fair bit per player per slot.
-    Rather than play every pattern, count the bit prefixes reaching each
-    joint state (s_a, s_b); a player's two bit values split its count over
-    idle/transmit as (2, 0), (1, 1) or (0, 2), and a solo slot t (0-based)
-    reached by c prefixes scores c * 4^(T-1-t) over all patterns.  Cost is
-    O(T * S^2 * 4) big-integer steps for S states.  No final-slot override
-    applies, since a copy is never foreign.
+    Valid only for machines whose ``probs`` and ``last_probs`` are all in
+    {0, 1/2, 1}, else ValueError: then a game is fixed by one fair bit per
+    player per slot.  A forward pass over ``batch._joint_chain`` counts the
+    bit prefixes reaching each joint state, and gives each of its k moves
+    4/k of them (a coin player's two bits split, a sure player's agree); the
+    final slot plays ``last_probs``.  O(T * J) big-integer steps for J joint
+    states.  Like the engine, raises ValueError if a pattern reaches a move
+    with no transition before the final slot.
     """
     T = check_horizon(horizon)
-    compiled = compile_machine(machine)
-    halves = {0.0: (2, 0), 0.5: (1, 1), 1.0: (0, 2)}
-    try:
-        split = [halves[p] for p in compiled.probs.tolist()]
-    except KeyError:
-        raise ValueError("exact enumeration needs transmit probabilities in {0, 1/2, 1}") from None
-    trans = compiled.trans.tolist()
-    counts = {(compiled.start, compiled.start): 1}
-    total = 0
-    for t in range(T):
-        nxt: dict[tuple[int, int], int] = {}
-        for (sa, sb), count in counts.items():
-            for xa in (0, 1):
-                for xb in (0, 1):
-                    weight = count * split[sa][xa] * split[sb][xb]
-                    if not weight:
-                        continue
-                    feedback = xa + xb
-                    if feedback == 1:
-                        total += weight * 4 ** (T - 1 - t)
-                    key = (trans[sa][xa][feedback], trans[sb][xb][feedback])
-                    if min(key) < 0:
-                        raise ValueError(f"no transition for a reachable move at slot {t + 1}")
-                    nxt[key] = nxt.get(key, 0) + weight
-        counts = nxt
+    m = compile_machine(machine)
+    if not {*m.probs.tolist(), *m.last_probs.tolist()} <= {0.0, 0.5, 1.0}:
+        raise ValueError("exact enumeration needs transmit probabilities in {0, 1/2, 1}")
+    chain = _joint_chain(m, m, [(m.start, m.start)], T - 1)
+    if any(-1 in state for state in chain):  # reached by slot T, which it cannot play
+        raise ValueError("no transition is defined for a reachable move")
+    nxt, total = {(m.start, m.start): 1}, 0
+    for t in range(1, T + 1):
+        counts, nxt, total = nxt, {}, 4 * total  # so a solo slot t weighs 4^(T-t)
+        for state, count in counts.items():
+            share = 4 * count // len(moves := chain[state][t == T])
+            for xa, xb, key in moves:
+                total += share * (xa != xb)
+                nxt[key] = nxt.get(key, 0) + share
     return Fraction(total, 2 * 4**T)

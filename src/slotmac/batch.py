@@ -11,8 +11,8 @@ uniform per slot for every game of the chunk while some game has it open.
 A game with both players closed has its future fixed by its joint state:
 once such games are half the live ones they are parked, and only the rest
 are stepped.  Parked games are finished together by binary lifting over
-the joint states they can reach, in O(log T) steps.  No draw a game reads
-moves; the scalar engine still draws every slot.
+``_joint_chain``, the walk the exact evaluator shares, in O(log T) steps.
+No draw a game reads moves; the scalar engine still draws every slot.
 
 Every machine plays one state table (``CompiledMachine``, the override's
 shadow folded in), flattened per call into a step table (``_tables``).
@@ -121,15 +121,15 @@ class GameBatch:
     first_success: np.ndarray
 
 
-def _tables(m: CompiledMachine, moves, closed=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+def _tables(m: CompiledMachine, moves, closed=None) -> tuple:
     """One player's engine tables, state ids times 4: ``probs``,
-    ``last_probs`` and ``closed`` repeated 4 times, the step table and the
-    start.  ``step[4 * s + k]`` is 4 times the successor of state s under
-    the slot move k = 2 * xa + xb, which this player sees as ``moves[k]`` =
-    (own action, feedback).  An undefined successor (-1) becomes 4N, past
-    the end of every table, so the next slot's ``take`` raises.  State s is
-    closed when every state reachable from it plays p 0 or 1 on any slot;
-    that holds in either seat, so the other seat's ``closed`` may be given."""
+    ``last_probs`` and ``closed`` repeated 4 times, the step table, the
+    start and m itself.  ``step[4 * s + k]`` is 4 times the successor of
+    state s under the slot move k = 2 * xa + xb, which this player sees as
+    ``moves[k]`` = (own action, feedback).  An undefined successor (-1)
+    becomes 4N, past the end of every table, so the next slot's ``take``
+    raises.  State s is closed when every state reachable from it plays p 0
+    or 1 on any slot, in either seat, so one seat's ``closed`` serves both."""
     actions, feedback = zip(*moves)
     succ = m.trans[:, actions, feedback].astype(np.intp)
     succ[succ < 0] = len(succ)
@@ -147,7 +147,7 @@ def _tables(m: CompiledMachine, moves, closed=None) -> tuple[np.ndarray, np.ndar
                     flags[s] = False
                     todo.append(s)
         closed = np.repeat(flags[:-1], 4)
-    return np.repeat(m.probs, 4), np.repeat(m.last_probs, 4), (4 * succ).ravel(), closed, 4 * m.start
+    return np.repeat(m.probs, 4), np.repeat(m.last_probs, 4), (4 * succ).ravel(), closed, 4 * m.start, m
 
 
 def _pair_tables(machine_a, machine_b) -> tuple[tuple, tuple]:
@@ -161,8 +161,8 @@ def _play_chunk(ta, tb, horizon: int, uniforms, out: np.ndarray) -> np.ndarray:
     """Play one game per column of ``out`` (GameBatch's three fields) for the
     players with ``_tables`` ta and tb; ``uniforms(player, t)`` gives a slot's
     draws, called in slot order while some game has that player open."""
-    probs_a, last_a, step_a, closed_a, start_a = ta
-    probs_b, last_b, step_b, closed_b, start_b = tb
+    probs_a, last_a, step_a, closed_a, start_a, _ = ta
+    probs_b, last_b, step_b, closed_b, start_b, _ = tb
     n, w = out.shape[1], len(probs_b) + 1  # joint state sa * w + sb; sb may be 4N_b, undefined
     # a parked game's (park event * (4N_a + 1) + sa) * w + sb; each event at least halves the live games
     key = np.full(n, -1, dtype=np.int64 if (n.bit_length() + 1) * (len(probs_a) + 1) * w >= 2**31 else np.int32)
@@ -205,31 +205,41 @@ def _play_chunk(ta, tb, horizon: int, uniforms, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _joint_chain(a: CompiledMachine, b: CompiledMachine, roots, depth: int) -> dict:
+    """The joint states (sa, sb) of players a and b that ``roots`` reach in at most ``depth`` transitions, breadth
+    first, each mapped to its moves (xa, xb, successor) of nonzero probability under ``probs`` and those of the final
+    slot under ``last_probs``, which follows no successor (one list where they agree); none if a half is -1."""
+    pa, la, ta = a.probs.tolist(), a.last_probs.tolist(), a.trans.ravel().tolist()  # trans[s, x, f]: 6 * s + 3 * x + f
+    pb, lb, tb = (pa, la, ta) if b is a else (b.probs.tolist(), b.last_probs.tolist(), b.trans.ravel().tolist())
+    chain, frontier = {}, dict.fromkeys(roots)
+    while frontier:
+        for sa, sb in frontier:
+            moves = []  # each slice of (0, 1) holds the actions u < p allows
+            for xa in (0, 1)[pa[sa] >= 1:1 + (pa[sa] > 0)] if sa >= 0 <= sb else ():  # none if a half is undefined
+                for xb in (0, 1)[pb[sb] >= 1:1 + (pb[sb] > 0)]:
+                    moves.append((xa, xb, (ta[6 * sa + 4 * xa + xb], tb[6 * sb + xa + 4 * xb])))
+            chain[sa, sb] = moves, final = (moves, moves) if la[sa] == pa[sa] and lb[sb] == pb[sb] else (moves, [])
+            for xa in (0, 1)[la[sa] >= 1:1 + (la[sa] > 0)] if sa >= 0 <= sb and final is not moves else ():
+                for xb in (0, 1)[lb[sb] >= 1:1 + (lb[sb] > 0)]:
+                    final.append((xa, xb, (ta[6 * sa + 4 * xa + xb], tb[6 * sb + xa + 4 * xb])))
+        frontier = dict.fromkeys(s for j in frontier for _, _, s in chain[j][0] if s not in chain) if depth else {}
+        depth -= 1
+    return chain
+
+
 def _finish(ta, tb, horizon: int, w: int, slots: list[int], key: np.ndarray, out: np.ndarray) -> None:
-    """Add the tails of the games parked with ``key`` to ``out``: a forward search finds the graph
-    of closed joint states they reach, and binary lifting jumps each distinct (park slot, joint
-    state) through its horizon - t transitions.  An undefined half absorbs; reaching it raises."""
-    (probs_a, last_a, step_a), (probs_b, last_b, step_b) = ta[:3], tb[:3]
+    """Add the tails of the games parked with ``key`` to ``out``: binary lifting over the ``_joint_chain`` of their
+    joint states (compiled ids, the undefined 4N as -1) jumps each distinct (park slot, joint state) through its
+    horizon - t transitions.  A closed state has one move of each kind, or none if a half is undefined (move -1)."""
     groups, inverse = np.unique(key, return_inverse=True)
     parked = groups >= 0  # all but the unparked games' -1
-    event, joint = np.divmod(groups[parked], (len(probs_a) + 1) * w)
-
-    def step(code: int) -> tuple[int, int, int]:  # move (-1: undefined), final-slot move, successor
-        a, b = divmod(code, w)
-        if a == len(probs_a) or b == len(probs_b):
-            return -1, 0, code
-        k = 2 * int(probs_a[a] > 0) + int(probs_b[b] > 0)
-        return k, 2 * int(last_a[a] > 0) + int(last_b[b] > 0), int(step_a[a + k]) * w + int(step_b[b + k])
-
-    found = {code: step(code) for code in joint.tolist()}
-    frontier, depth = list(found), 0
-    while frontier and depth < horizon - slots[0]:  # breadth first, as deep as any key walks
-        frontier = [c for c in dict.fromkeys(found[c][2] for c in frontier) if c not in found]
-        found.update((c, step(c)) for c in frontier)
-        depth += 1
-    index = {code: i for i, code in enumerate(found)}
-    move, last, nxt = (np.array(v) for v in zip(*((k, f, index.get(s, i)) for i, (k, f, s) in enumerate(found.values()))))
-    cur = np.array([index[code] for code in joint.tolist()])
+    event, joint = np.divmod(groups[parked], (len(ta[0]) + 1) * w)
+    roots = list(zip(*(np.where(s < len(t[0]), s >> 2, -1).tolist() for s, t in zip(np.divmod(joint, w), (ta, tb)))))
+    chain = _joint_chain(ta[5], tb[5], roots, horizon - slots[0])
+    index = {state: i for i, state in enumerate(chain)}
+    move, last, nxt = np.array([(2 * m[0][0] + m[0][1], 2 * f[0][0] + f[0][1], index.get(m[0][2], i)) if m else
+                                (-1, 0, i) for i, (m, f) in enumerate(chain.values())]).T
+    cur = np.array([index[state] for state in roots])
     left = horizon - np.array(slots)[event]  # transitions before the final slot
     # per state a jump of 2^j slots, per key the jumps taken: gains a << 32 | b, first solo offset
     gain, off = np.where(move == 2, 1 << 32, move == 1), np.where((move == 1) | (move == 2), 0, _NONE)
@@ -240,7 +250,7 @@ def _finish(ta, tb, horizon: int, w: int, slots: list[int], key: np.ndarray, out
         acc_off = np.minimum(acc_off, np.where(hop, off.take(cur) + (left & ((1 << j) - 1)), _NONE))
         cur = np.where(hop, nxt.take(cur), cur)
         gain, off, nxt = gain + gain.take(nxt), np.minimum(off, off.take(nxt) + (1 << j)), nxt.take(nxt)
-    if (move.take(cur) < 0).any():
+    if (move.take(cur) < 0).any():  # an undefined half absorbs; reaching it raises
         raise ValueError("no transition is defined for a reachable move")
     k = last.take(cur)
     first = np.minimum(acc_off, np.where((k == 1) | (k == 2), left, _NONE)) + horizon - left

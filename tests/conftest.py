@@ -167,8 +167,8 @@ def slot_by_slot_play_chunk(ta, tb, horizon: int, n: int, uniforms, first: int =
     on.  ``uniforms(player, t)`` must return the n uniform draws for that
     player and slot; it is called in slot order, player 0 then player 1,
     while some game has that player outside its closed states."""
-    probs_a, last_a, step_a, closed_a, start_a = ta
-    probs_b, last_b, step_b, closed_b, start_b = tb
+    probs_a, last_a, step_a, closed_a, start_a, _ = ta
+    probs_b, last_b, step_b, closed_b, start_b, _ = tb
     sa, sb = states or (np.full(n, start_a, dtype=np.intp), np.full(n, start_b, dtype=np.intp))
     score_a, score_b, lead = (np.full(n, v, dtype=np.int32) for v in (0, 0, first - 1))  # lead: slots before a solo success
     draw_a = draw_b = uniforms is not None

@@ -152,6 +152,58 @@ def test_evaluator_rejects_reachable_missing_transition():
         exact_self_play_alpha(broken, 2)
 
 
+def test_evaluator_plays_an_undefined_move_on_the_final_slot():
+    # the final slot takes no transition, so the engine plays this table at
+    # T = 1; test_evaluator_rejects_reachable_missing_transition is T = 2
+    compiled = compile_machine(builtin("four_state"))
+    trans = compiled.trans.copy()
+    trans[compiled.start, 0, 0] = -1
+    broken = dataclasses.replace(compiled, trans=trans)
+    assert exact_self_play_alpha(broken, 1) == enumerate_self_play_alpha(broken, 1) == Fraction(1, 4)
+
+
+def test_evaluator_reads_last_probs_on_the_final_slot():
+    # every state transmits on the final slot, so the last slot collides
+    compiled = compile_machine(builtin("four_state"))
+    greedy = dataclasses.replace(compiled, last_probs=np.ones_like(compiled.probs))
+    for T, want in ((1, 0), (2, Fraction(1, 4)), (3, Fraction(5, 8))):
+        assert exact_self_play_alpha(greedy, T) == enumerate_self_play_alpha(greedy, T) == want
+
+
+def test_evaluator_rejects_general_final_slot_probabilities():
+    compiled = compile_machine(builtin("four_state"))
+    for p in (0.3, 0.25, 0.75):
+        m = dataclasses.replace(compiled, last_probs=np.full_like(compiled.probs, p))
+        with pytest.raises(ValueError, match="1/2"):
+            exact_self_play_alpha(m, 3)
+
+
+def _outcome(fn, machine, horizon):
+    try:
+        return fn(machine, horizon)
+    except ValueError:
+        return "raises"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    horizon=st.integers(1, 6),
+    override=st.booleans(),
+    holes=st.booleans(),
+)
+def test_evaluator_matches_the_enumerator_with_hand_set_last_probs(seed, horizon, override, holes):
+    rng = np.random.default_rng(seed)
+    compiled = compile_machine(random_machine(rng, half=True, override=override))
+    trans = compiled.trans.copy()
+    for _ in range(int(rng.integers(0, 3)) if holes else 0):
+        action = int(rng.integers(2))
+        trans[int(rng.integers(len(trans))), action, action + int(rng.integers(2))] = -1
+    last = rng.integers(0, 3, size=len(compiled.probs)) / 2
+    m = dataclasses.replace(compiled, trans=trans, last_probs=last)
+    assert _outcome(exact_self_play_alpha, m, horizon) == _outcome(enumerate_self_play_alpha, m, horizon)
+
+
 def test_enumerator_on_three_state():
     # the three-state machine is optimal in self-play too
     m = builtin("three_state")

@@ -4,10 +4,10 @@ engine on random override machines, the int16 limit on state ids and the
 failure on a hand-built table with a reachable undefined move.  A player
 draws only while some game has it outside its closed states (whose whole
 future plays probability 0 or 1), and games with both players closed are
-parked and finished by binary lifting over their joint states; the results
+parked and finished by binary lifting over their joint chain; the results
 still equal those of a full draw for every player, those of the scalar
 engine game by game and those of the slot-by-slot loop the engine used
-before it parked games."""
+before it parked games, and the chain that of a plain breadth-first search."""
 
 from __future__ import annotations
 
@@ -726,3 +726,50 @@ def test_search_reaches_as_deep_as_the_tail(horizon):
     ua, ub = rng.random((3, horizon)), rng.random((3, horizon))
     for ma, mb in ((_transmit_chain(16), builtin("never")), (_transmit_chain(16), _transmit_chain(11))):
         assert _outcome(run_games_with_uniforms, ma, mb, ua, ub) == _outcome(slot_by_slot_games, ma, mb, ua, ub)
+
+
+def _plain_chain(a, b, roots, depth):
+    # the joint chain by a plain breadth-first search over the compiled
+    # tables: level d holds the states first reached after d transitions
+    def moves(sa, sb, pa, pb):
+        if sa < 0 or sb < 0:
+            return set()
+        return {(xa, xb, (int(a.trans[sa, xa, xa + xb]), int(b.trans[sb, xb, xa + xb])))
+                for xa in (0, 1) for xb in (0, 1)
+                if (pa[sa] if xa else 1 - pa[sa]) > 0 and (pb[sb] if xb else 1 - pb[sb]) > 0}
+
+    chain, level = {}, set(roots)
+    for _ in range(depth + 1):
+        for state in level:
+            chain[state] = moves(*state, a.probs, b.probs), moves(*state, a.last_probs, b.last_probs)
+        level = {s for state in level for _, _, s in chain[state][0]} - set(chain)
+    return chain
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    horizon=st.integers(1, 12),
+    kinds=st.tuples(*[st.sampled_from(["any", "deterministic", "half", "coin head"])] * 2),
+    override=st.sampled_from(["", "a", "b", "both"]),
+    holes=st.sampled_from(["", "a", "b", "both"]),
+    self_play=st.booleans(),
+)
+def test_joint_chain_matches_a_plain_search(seed, horizon, kinds, override, holes, self_play):
+    rng = np.random.default_rng(seed)
+    machines = []
+    for side, kind in zip("ab", kinds):
+        on = override in (side, "both")
+        machine = (_coin_head_machine(rng, on) if kind == "coin head" else
+                   random_machine(rng, deterministic=kind == "deterministic", half=kind == "half", override=on))
+        machines.append(_holed(rng, machine) if holes in (side, "both") else compile_machine(machine))
+    a, b = (machines[0], machines[0]) if self_play else machines
+    # roots over every state id of each seat, -1 (undefined) included
+    roots = [(int(rng.integers(-1, len(a.probs))), int(rng.integers(-1, len(b.probs)))) for _ in range(3)]
+    for depth in range(horizon + 1):
+        got = batch_module._joint_chain(a, b, roots, depth)
+        assert {s: tuple(map(set, v)) for s, v in got.items()} == _plain_chain(a, b, roots, depth), depth
+        assert all(len(set(v)) == len(v) for moves in got.values() for v in moves)
+    # the walk stops once no new state appears, however deep it may go
+    assert batch_module._joint_chain(a, b, roots, 2**31 - 2).keys() == _plain_chain(
+        a, b, roots, (len(a.probs) + 1) * (len(b.probs) + 1)).keys()
