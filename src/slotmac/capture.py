@@ -43,25 +43,35 @@ stopping-time loop, ``_stopping_times``.  Episodes go in chunks of
 ``CHUNK_SIZE``, chunk c drawing from its own stream, and ``rng.run_units``
 runs the chunks on one thread per usable CPU, never more than there are
 chunks.  Each chunk writes its episodes' end slots into its own slice of
-one array, so the worker count never changes an output bit.  Each slot t
-a simulator's step sees the per-episode state of the still-open episodes
-only, compacted in episode order, and returns two masks over them, those
-that end at t and those that end at t + 1 (a deterministic follow-up
-slot, or None), with their next state.  An end past ``max_slots`` is
-censored: counted in ``SimSummary.censored`` and left out of the mean.
+one array, so the worker count never changes an output bit.  A chunk
+carries one int64 id per open episode, in episode order: the episode's
+row, the state a simulator keeps for it, in the high bits and its index
+in the chunk in the low ``INDEX_BITS``.  Each slot t a simulator's step
+sees the ids of the still-open episodes and returns their next row bits,
+-1 for those that end at t, with a mask of those that end at t + 1 (a
+deterministic follow-up slot) or None.  The loop writes t as the end of
+every open episode, so the last write stands, puts the indices back
+under the row bits and compacts that one array.  An end past
+``max_slots`` is censored: reset to 0, counted in ``SimSummary.censored``
+and left out of the mean.
 
-``simulate_capture`` draws each slot's transmitter counts from
-``_InversionTables``, built once a call before the chunks start and only
-read by them.  numpy draws a binomial with min(p, 1 - p) m <= 30 by
+``simulate_capture``'s step, ``_CaptureStep``, keeps each episode's group
+size as its row.  numpy draws a binomial with min(p, 1 - p) m <= 30 by
 inversion, a monotone function of one uniform, so a lookup on that uniform
 gives numpy's integer: the same uniforms are read in the same order and no
-output bit moves.  A policy with a reachable size off that path (p = 0, or
-min(p, 1 - p) m > 30) keeps ``Generator.binomial``, as does any slot where
-numpy's sampler would redraw.  The tables reproduce numpy 2.4's sampler;
+output bit moves.  The lookup is fused: the bucket of the uniform's top 12
+bits in the group's row holds the next group's row bits, after the
+p > 1/2 flip and the policy's split, or -1 for a capture, so a slot is one
+gather and one compaction per open episode.  The tables are built once a
+call before the chunks start and only read by them.  A policy with a
+reachable size off that path (p = 0, or min(p, 1 - p) m > 30) keeps
+``Generator.binomial``, as does any slot where numpy's sampler would
+redraw; both map the count to the next row through the same per-row
+table.  The tables reproduce numpy 2.4's sampler;
 ``tests/test_inversion_tables.py`` fails first if a later numpy changes it.
-On a 2-vCPU host 4M episodes at 100 users take about 0.4 s on two
-workers and 0.6 s on one, against 0.6 s and 1.1 s with
-``Generator.binomial``.
+On a 2-vCPU host 4M episodes at 100 users take about 0.23 s on two
+workers and 0.30 s on one, against 0.38 s and 0.52 s with separate count,
+flip and split lookups and three compactions a slot.
 """
 
 from __future__ import annotations
@@ -81,6 +91,8 @@ from .rng import DOMAIN_CAPTURE, DOMAIN_MISC, RngStream, run_units
 SCAN_POINTS = 999  # dense scan over p in {0.001, ..., 0.999}
 MAX_USERS = 1027  # largest n with C(n, n // 2) * e finite in float64
 CHUNK_SIZE = 65_536  # episodes per simulation chunk, each with its own stream
+INDEX_BITS = 32  # an episode's id holds its index in its chunk in the low bits, its row above
+INDEX_MASK = (1 << INDEX_BITS) - 1
 RELAXATION_GRID = 401  # points per axis of each zoom of the three-user relaxation scan
 RELAXATION_ZOOMS = 8
 
@@ -256,7 +268,7 @@ def _policy_tables(policy: CapturePolicy, users: int) -> tuple[np.ndarray, np.nd
     the group sizes reachable from ``users`` only: ``probs[m]`` is the
     transmit probability of size m, and the group size after k of m
     transmit is ``after[offset[m] + k]`` (m itself when the policy
-    repeats).  ``offset[m]`` is where size m's row of m + 1 entries starts
+    repeats, 0 at k = 1, which captures).  ``offset[m]`` is where size m's row of m + 1 entries starts
     in the flat ``after``, and -1 for an unreachable size, so a policy that
     never splits builds one row whatever ``users`` is."""
     probs = np.zeros(users + 1)
@@ -271,7 +283,7 @@ def _policy_tables(policy: CapturePolicy, users: int) -> tuple[np.ndarray, np.nd
         offset[m] = len(after)
         sides = [(k, policy_side(policy, m, k)) for k in range(2, m)]
         splits = [m if side is None else k if side == TRANSMIT else m - k for k, side in sides]
-        after += [m, 0, *splits, m][: m + 1]  # k = 0, 1 (captures: never read), 2..m-1, m
+        after += [m, 0, *splits, m][: m + 1]  # k = 0, 1 (captures: no group left), 2..m-1, m
         pending += [size for size in splits if offset[size] < 0]
     return probs, offset, np.array(after, dtype=np.int64)
 
@@ -285,16 +297,18 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _stopping_times(stream: Callable[[int], RngStream], episodes: int, step: Callable, start: Callable | None = None,
-                    max_slots: int = 10_000, chunk_size: int = CHUNK_SIZE) -> SimSummary:
+def _stopping_times(stream: Callable[[int], RngStream], episodes: int, step: Callable, max_slots: int = 10_000,
+                    chunk_size: int = CHUNK_SIZE) -> SimSummary:
     """The loop of the module docstring: chunk c of n episodes draws from
-    ``stream(c)`` with state ``start(n)`` (None without ``start``), and slot
-    t calls ``step(gen, state, open_count)`` with the state of the
-    ``open_count`` still-open episodes, which returns (ends at t, ends at
-    t + 1 or None, next state).  ``Generator`` draws and fancy indexing
-    release the GIL, so the chunks' threads overlap."""
+    ``stream(c)``, every episode starting in row 0, and slot t calls
+    ``step(gen, ids)`` with the ids of the still-open episodes, which
+    returns (a new array of their next row bits, -1 where an episode ends
+    at t; a mask of those that end at t + 1, or None).  ``Generator`` draws
+    and fancy indexing release the GIL, so the chunks' threads overlap."""
     if episodes < 1 or max_slots < 1:
         raise ValueError("need episodes >= 1 and max_slots >= 1")
+    if min(episodes, chunk_size) > INDEX_MASK + 1:
+        raise ValueError(f"a chunk holds at most {INDEX_MASK + 1} episodes")
 
     # the chunks write their ends into slices of one array the caller owns,
     # so no worker allocates anything that outlives its chunk
@@ -303,29 +317,35 @@ def _stopping_times(stream: Callable[[int], RngStream], episodes: int, step: Cal
     def run_chunk(chunk: int) -> None:
         ends = done_at[chunk * chunk_size: (chunk + 1) * chunk_size]
         gen = stream(chunk).generator()
-        state = start(len(ends)) if start is not None else None
-        open_idx = np.arange(len(ends))
+        ids = np.arange(len(ends), dtype=np.int64)
         for t in range(1, max_slots + 1):
-            if len(open_idx) == 0:
+            if len(ids) == 0:
                 break
-            ended, ends_next, state = step(gen, state, len(open_idx))
-            ends[open_idx[ended]] = t
+            row, ends_next = step(gen, ids)
+            ids &= INDEX_MASK  # in place: the step is done with the ids
+            ends[ids] = t  # kept by the episodes that end now, overwritten by the rest
             if ends_next is not None:
-                if t < max_slots:
-                    ends[open_idx[ends_next]] = t + 1
-                ended = ended | ends_next
-            keep = ~ended
-            open_idx = open_idx[keep]
-            if state is not None:
-                state = state[keep]
+                ends[ids[ends_next]] = t + 1 if t < max_slots else 0
+            row |= ids
+            ids = row[row >= 0]
+        ends[ids & INDEX_MASK] = 0  # open after max_slots: censored
 
     run_units(-(-episodes // chunk_size), run_chunk, _usable_cpus())
-    return summarize_times(done_at[done_at > 0], int(np.count_nonzero(done_at == 0)))
+    censored = episodes - int(np.count_nonzero(done_at))
+    # with none censored the ends themselves are the completed times, in the same order
+    return summarize_times(done_at[done_at > 0] if censored else done_at, censored)
 
 
-class _InversionTables:
-    """``Generator.binomial(m, p)`` for the sizes m of one policy, as a
-    lookup on the uniform numpy's inversion sampler would read.
+class _CaptureStep:
+    """One slot of ``simulate_capture`` for a chunk's open episodes:
+    ``step(gen, ids)`` draws ``Generator.binomial(m, p_m)`` for each
+    episode's group size m and maps the count k to the next row through
+    the policy's ``after``, from the same uniforms numpy would read.
+
+    Row r is the r-th size ``_policy_tables`` reached, so row 0 is the
+    starting size; an episode's id is r << ``ROW_SHIFT`` | its index.
+    ``next[koff[r] + k]`` holds the row bits of the size k of m leave
+    (``row_bits[after]``), or -1 where k = 1 captures.
 
     numpy 2.4 draws a binomial with min(p, 1 - p) m <= 30 by inversion
     (Kachitvichyanukul & Schmeiser, CACM 31(2), 1988) on p' = min(p, 1 - p),
@@ -336,31 +356,42 @@ class _InversionTables:
     bound.  Rounded subtraction is monotone, so X is non-decreasing in j:
     ``thresholds[r, k]`` is the largest j with X <= k (``TOP`` past the
     row's bound), X = #{k : j > t_k}, and j > t_bound is a redraw.  The
-    thresholds come from one bisection over j for every (size, k) at once,
+    thresholds come from one bisection over j for every (row, k) at once,
     running the loop above elementwise.
 
-    ``lut`` holds one row of 4,096 int8 buckets per size, bucket b holding
-    the X of every j in [b 2^41, (b + 1) 2^41), or -1 where a threshold or
-    the redraw region falls in it; those draws, about 0.1-0.2%, count
-    thresholds.  A slot with a redraw rewinds its uniforms and calls
-    ``gen.binomial`` itself."""
+    When every row is on that path, ``fused`` holds 4,096 buckets per row.
+    Entry r 4096 + b, which is id >> ``INDEX_BITS`` plus b, the uniform's
+    top 12 of 53 bits, holds the next row bits of every j in
+    [b 2^41, (b + 1) 2^41), or ``SLOW`` where a threshold or the redraw
+    region falls in the bucket; those draws, about 0.2%, count thresholds.
+    A slot with a redraw rewinds its uniforms and calls ``gen.binomial``
+    itself, as does every slot of a policy with a row off the path (p = 0,
+    or min(p, 1 - p) m > 30).  One gather then replaces the count, the
+    flip and the split."""
 
     TOP = 2**53 - 1  # j of the largest double Generator.random returns
     BUCKET_BITS = 41  # a bucket is a uniform's top 12 of 53 bits
+    ROW_SHIFT = INDEX_BITS + 12  # row r starts at bucket r 4096 of ``fused``
+    SLOW = -2
 
-    def __init__(self, probs: np.ndarray, sizes: np.ndarray):
-        p = probs[sizes]
-        self.probs = probs
-        self.flipped = np.zeros(len(probs), dtype=np.int64)  # m where p_m > 0.5, else 0
-        self.flipped[sizes] = np.where(p > 0.5, sizes, 0)
-        self.base = np.zeros(len(probs), dtype=np.int32)  # lut offset of size m's row
-        self.base[sizes] = np.arange(len(sizes)) << 12
+    def __init__(self, probs: np.ndarray, offset: np.ndarray, after: np.ndarray):
+        sizes = np.flatnonzero(offset >= 0)
+        sizes = sizes[np.argsort(offset[sizes])]
+        if len(sizes) > 1 << (63 - self.ROW_SHIFT):  # the row bits must stay below the sign bit
+            raise ValueError(f"a policy may reach at most {1 << (63 - self.ROW_SHIFT)} group sizes")
+        self.sizes, self.probs, self.koff = sizes, probs[sizes], offset[sizes]
+        self.row_bits = np.full(len(probs), -1, dtype=np.int64)  # -1 at size 0, which ``after`` gives a capture
+        self.row_bits[sizes] = np.arange(len(sizes), dtype=np.int64) << self.ROW_SHIFT
+        self.next = self.row_bits[after]
 
-        p = np.where(p > 0.5, 1.0 - p, p)
+        p = np.where(self.probs > 0.5, 1.0 - self.probs, self.probs)
+        self.fused = None
+        if (self.probs == 0).any() or (p * sizes > 30.0).any():
+            return  # Generator.binomial draws p = 0 from no uniform and m p' > 30 from a variable number
+        self.flipped = np.where(self.probs > 0.5, sizes, 0)
         q = 1.0 - p
         mp = sizes * p
-        # at most 86, since m p' <= 30: the int8 counts and lut below hold it
-        self.bound = np.minimum(sizes, mp + 10.0 * np.sqrt(mp * q + 1)).astype(np.int64)
+        self.bound = np.minimum(sizes, mp + 10.0 * np.sqrt(mp * q + 1)).astype(np.int64)  # at most 86
         width = int(self.bound.max()) + 1
         px = np.empty((len(sizes), width))
         # libm's exp and log1p, as numpy's C sampler calls them
@@ -368,7 +399,7 @@ class _InversionTables:
         for x in range(1, width):
             px[:, x] = ((sizes - x + 1) * p * px[:, x - 1]) / (x * q)
 
-        # bisect every (size, k) at once: lo has X <= k, hi does not
+        # bisect every (row, k) at once: lo has X <= k, hi does not
         lo = np.full((len(sizes), width), -1, dtype=np.int64)
         hi = np.full((len(sizes), width), self.TOP + 1, dtype=np.int64)
         for _ in range(54):
@@ -383,51 +414,40 @@ class _InversionTables:
         lo[np.arange(width) > self.bound[:, None]] = self.TOP
         self.thresholds = lo
 
-        # the X at each bucket's first j, by counting the thresholds below it
-        rows, k = np.nonzero(np.arange(width) <= self.bound[:, None])
-        t = lo[rows, k]
-        below = t < self.TOP  # t = TOP is below no bucket's first j
-        lut = np.zeros((len(sizes), 4096), dtype=np.int8)
-        np.add.at(lut, (rows[below], (t[below] + 1) >> self.BUCKET_BITS), 1)
-        np.cumsum(lut, axis=1, out=lut)
-        lut[lut > self.bound[:, None]] = -1
-        # a bucket is mixed when a threshold other than its last j falls in it
-        inside = (t >= 0) & (~t & ((1 << self.BUCKET_BITS) - 1) != 0)
-        lut[rows[inside], t[inside] >> self.BUCKET_BITS] = -1
-        self.lut = lut.ravel()
+        # row by row, so the build holds no more than one row of temporaries;
+        # int64 like the ids, since widening a narrower table each slot cost
+        # about a fifth more time
+        first = np.arange(4096, dtype=np.int64) << self.BUCKET_BITS
+        fused = np.empty((len(sizes), 4096), dtype=np.int64)
+        for r, t in enumerate(lo):
+            x = np.searchsorted(t, first)  # the X of each bucket's first j: the thresholds below it
+            pure = (x == np.searchsorted(t, first | ((1 << self.BUCKET_BITS) - 1))) & (x <= self.bound[r])
+            k = np.abs(self.flipped[r] - np.minimum(x, self.bound[r]))
+            fused[r] = np.where(pure, self.next[self.koff[r] + k], self.SLOW)
+        self.fused = fused.ravel()
 
-    def draw(self, gen: np.random.Generator, group: np.ndarray) -> np.ndarray:
-        """``gen.binomial(group, probs[group])``, the same integers from
-        the same uniforms."""
-        u = gen.random(len(group))
+    def __call__(self, gen: np.random.Generator, ids: np.ndarray) -> tuple[np.ndarray, None]:
+        if self.fused is None:
+            return self._binomial(gen, ids), None
+        u = gen.random(len(ids))
         u *= 4096  # exact: u's top 12 bits become its bucket
-        bucket = u.astype(np.int32)
-        bucket += self.base[group]
-        x = self.lut[bucket]
-        slow = np.flatnonzero(x < 0)
+        key = u.astype(np.int64)
+        key += ids >> INDEX_BITS
+        row = self.fused[key]
+        slow = np.flatnonzero(row == self.SLOW)
         if len(slow):
-            rows = self.base[group[slow]] >> 12
+            r = ids[slow] >> self.ROW_SHIFT
             j = (u[slow] * 2.0**41).astype(np.int64)
-            counted = np.count_nonzero(j[:, None] > self.thresholds[rows], axis=1)
-            if (counted > self.bound[rows]).any():
-                gen.bit_generator.advance(-len(group))
-                return gen.binomial(group, self.probs[group])
-            x[slow] = counted
-        k = self.flipped[group]
-        k -= x
-        return np.abs(k, out=k)  # m - x for a flipped size, else x
+            x = np.count_nonzero(j[:, None] > self.thresholds[r], axis=1)
+            if (x > self.bound[r]).any():
+                gen.bit_generator.advance(-len(ids))
+                return self._binomial(gen, ids), None
+            row[slow] = self.next[self.koff[r] + np.abs(self.flipped[r] - x)]
+        return row, None
 
-
-def _binomial_draw(probs: np.ndarray, offset: np.ndarray) -> Callable:
-    """``draw(gen, group)`` returning ``gen.binomial(group, probs[group])``:
-    from ``_InversionTables`` when numpy draws every reachable size by
-    inversion, else that call itself (p = 0 draws nothing, and
-    min(p, 1 - p) m > 30 draws a variable number of uniforms)."""
-    sizes = np.flatnonzero(offset >= 0)
-    p = probs[sizes]
-    if (p == 0).any() or (np.where(p > 0.5, 1.0 - p, p) * sizes > 30.0).any():
-        return lambda gen, group: gen.binomial(group, probs[group])
-    return _InversionTables(probs, sizes).draw
+    def _binomial(self, gen: np.random.Generator, ids: np.ndarray) -> np.ndarray:
+        r = ids >> self.ROW_SHIFT
+        return self.next[self.koff[r] + gen.binomial(self.sizes[r], self.probs[r])]
 
 
 def simulate_capture(
@@ -441,19 +461,13 @@ def simulate_capture(
 
     Only the active-group size matters to the episode's future, so each
     episode is advanced by drawing the number of transmitters binomially,
-    through ``_binomial_draw``.
+    through ``_CaptureStep``.
     """
     if users < 1:
         raise ValueError("need users >= 1")
-    probs, offset, after = _policy_tables(policy, users)
-    draw = _binomial_draw(probs, offset)
-
-    def step(gen, group, open_count):
-        k = draw(gen, group)
-        return k == 1, None, after[offset[group] + k]
-
+    step = _CaptureStep(*_policy_tables(policy, users))
     return _stopping_times(lambda chunk: RngStream(seed, (DOMAIN_CAPTURE, users, chunk)), episodes, step,
-                           start=lambda n: np.full(n, users, dtype=np.int64), max_slots=max_slots)
+                           max_slots=max_slots)
 
 
 def simulate_virtual_pair(episodes: int, seed: int, max_slots: int = 10_000) -> SimSummary:
@@ -462,9 +476,10 @@ def simulate_virtual_pair(episodes: int, seed: int, max_slots: int = 10_000) -> 
     two-user floor argument says this takes 2 slots on average.  All
     episodes share one unchunked stream."""
 
-    def step(gen, state, open_count):
-        packets = gen.integers(0, 2, size=(open_count, 2))
-        return packets[:, 0] != packets[:, 1], None, None
+    def step(gen, ids):
+        # the packets are freed before the row bits are made: this one chunk holds every episode
+        differ = np.not_equal(*gen.integers(0, 2, size=(len(ids), 2)).T)
+        return np.where(differ, -1, 0), None
 
     return _stopping_times(lambda chunk: RngStream(seed, (DOMAIN_MISC, 2)), episodes, step,
                            max_slots=max_slots, chunk_size=episodes)

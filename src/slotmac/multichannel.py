@@ -239,9 +239,9 @@ def simulate_two_user(
     cum = np.cumsum(q)
     cum[-1] = 1.0
 
-    def step(gen, state, open_count):
-        codes = _draw_codes(gen, cum, open_count, 2)
-        return codes[:, 0] != codes[:, 1], None, None
+    def step(gen, ids):
+        codes = _draw_codes(gen, cum, len(ids), 2)
+        return np.where(codes[:, 0] != codes[:, 1], -1, 0), None
 
     return _stopping_times(lambda chunk: RngStream(seed, (DOMAIN_MULTICHANNEL, 2, channels, chunk)), episodes,
                            step, max_slots=max_slots)
@@ -271,14 +271,14 @@ def simulate_three_user_two_channel(
     cum = np.cumsum(dist)
     cum[-1] = 1.0
 
-    def step(gen, state, open_count):
-        codes = _draw_codes(gen, cum, open_count, 3)
+    def step(gen, ids):
+        codes = _draw_codes(gen, cum, len(ids), 3)
         bit1, bit2 = codes & 1, (codes >> 1) & 1
         c1 = bit1[:, 0] + bit1[:, 1] + bit1[:, 2]
         c2 = bit2[:, 0] + bit2[:, 1] + bit2[:, 2]
         capture = (c1 == 1) | (c2 == 1)
         same = (codes[:, 0] == codes[:, 1]) & (codes[:, 1] == codes[:, 2])
-        return capture, ~capture & ~same, None
+        return np.where(same, 0, -1), ~capture & ~same
 
     return _stopping_times(lambda chunk: RngStream(seed, (DOMAIN_MULTICHANNEL, 3, 2, chunk)), episodes, step,
                            max_slots=max_slots)

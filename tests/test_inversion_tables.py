@@ -1,6 +1,7 @@
-"""The capture simulator's table-driven binomial against numpy's own
-``Generator.binomial``: the same integers from the same uniforms, and the
-stream left where numpy leaves it.
+"""The capture simulator's table-driven step against numpy's own
+``Generator.binomial``: from the same uniforms, the size the policy's split
+leaves after ``Generator.binomial(m, p)`` of m transmit, and the stream
+left where numpy leaves it.
 
 The tables copy numpy 2.4's inversion sampler bit for bit, so a numpy whose
 sampler changes fails ``test_forced_uniforms_at_every_threshold`` first."""
@@ -15,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slotmac import GroupSplittingPolicy, solve_capture_table
-from slotmac.capture import _binomial_draw, _InversionTables, _policy_tables
+from slotmac.capture import INDEX_MASK, _CaptureStep, _policy_tables
 
-TOP = _InversionTables.TOP
+TOP = _CaptureStep.TOP
 PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 PCG_MULT_INV = pow(PCG_MULT, -1, 2**128)
 
@@ -42,36 +43,58 @@ def test_forced_generator_reads_the_uniform_asked_for():
         assert forced_generator(j).random() == j * 2.0**-53
 
 
-def _rows(rows: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
+# seven sizes, on the inversion path, that the split sends k of m to by
+# k mod 7, so that counts less than seven apart leave different sizes
+WITNESSES = tuple(range(2001, 2008))
+
+
+def _tables(rows: dict[int, float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(probs, offset, after) in the layout of ``_policy_tables`` for the
+    sizes of ``rows`` and ``WITNESSES`` (p = 1): k = 1 of m captures and any
+    other k leaves WITNESSES[k % 7]."""
+    rows = {**dict.fromkeys(WITNESSES, 1.0), **rows}
     probs = np.zeros(max(rows) + 1)
-    sizes = np.array(sorted(rows))
-    probs[sizes] = [rows[m] for m in sizes]
-    return probs, sizes
+    offset = np.full(len(probs), -1, dtype=np.int64)
+    after: list[int] = []
+    for m, p in rows.items():
+        probs[m] = p
+        offset[m] = len(after)
+        after += [0 if k == 1 else WITNESSES[k % 7] for k in range(m + 1)]
+    return probs, offset, np.array(after, dtype=np.int64)
 
 
-def _reachable(policy, users: int) -> tuple[np.ndarray, np.ndarray]:
+def _sizes(step: _CaptureStep, row_bits: np.ndarray) -> np.ndarray:
+    """The group sizes that a step's returned row bits name, 0 for a capture."""
+    assert np.all((row_bits == -1) | (row_bits >= 0) & (row_bits & INDEX_MASK == 0))
+    return np.where(row_bits < 0, 0, step.sizes[row_bits >> _CaptureStep.ROW_SHIFT])
+
+
+def _ids(step: _CaptureStep, group: np.ndarray) -> np.ndarray:
+    return step.row_bits[group] | np.arange(len(group))
+
+
+def _reachable(policy, users: int) -> dict[int, float]:
     probs, offset, _ = _policy_tables(policy, users)
-    return probs, np.flatnonzero(offset >= 0)
+    return {m: probs[m] for m in np.flatnonzero(offset >= 0).tolist()}
 
 
-# (probs, sizes in row order): every size the solved policy reaches from 100
-# users, and rows at the edges of the inversion path: the p > 0.5 flip,
-# p = 1, m p' = 30 exactly, the largest bound (m p' = 30 at m = 1000) and
-# tiny p
+# size -> p: every size the solved policy reaches from 100 users, and rows
+# at the edges of the inversion path: the p > 0.5 flip, p = 1, m p' = 30
+# exactly, the largest bound (m p' = 30 at m = 1000) and tiny p
 ROWS = {
     "solved_100": lambda: _reachable(GroupSplittingPolicy(solve_capture_table(100)), 100),
-    "edges": lambda: _rows({1: 0.3, 2: 1.0, 3: 0.999, 6: 0.9, 7: 1e-300, 60: 0.5, 61: 0.49, 1000: 0.03}),
-    "near_btpe": lambda: _rows({m: 30.0 / m if m % 2 else 1.0 - 29.9 / m for m in range(60, 1000, 37)}),
+    "edges": lambda: {1: 0.3, 2: 1.0, 3: 0.999, 6: 0.9, 7: 1e-300, 60: 0.5, 61: 0.49, 1000: 0.03},
+    "near_btpe": lambda: {m: 30.0 / m if m % 2 else 1.0 - 29.9 / m for m in range(60, 1000, 37)},
 }
 
 
-def _edge_uniforms(tables: _InversionTables, row: int) -> list[int]:
+def _edge_uniforms(step: _CaptureStep, row: int) -> list[int]:
     """j = 0 and TOP, j around every threshold of the row (the redraw
     threshold included), and the first and last j of each bucket holding a
     threshold and of its neighbours."""
     js = {0, TOP}
-    bucket = 1 << _InversionTables.BUCKET_BITS
-    for t in tables.thresholds[row, : tables.bound[row] + 1].tolist():
+    bucket = 1 << _CaptureStep.BUCKET_BITS
+    for t in step.thresholds[row, : step.bound[row] + 1].tolist():
         js.update(range(t - 1, t + 3))
         first = (max(t, 0) // bucket) * bucket
         js.update((first - 1, first, first + bucket - 1, first + bucket, first - bucket))
@@ -82,50 +105,52 @@ def _edge_uniforms(tables: _InversionTables, row: int) -> list[int]:
 def test_forced_uniforms_at_every_threshold(name):
     # each draw is a slot of three: the forced uniform and two stream ones,
     # so a redraw rewinds a slot of more than one
-    probs, sizes = ROWS[name]()
-    tables = _InversionTables(probs, sizes)
+    rows = ROWS[name]()
+    probs, offset, after = _tables(rows)
+    step = _CaptureStep(probs, offset, after)
     mismatches = checked = redraws = 0
-    for row, m in enumerate(sizes.tolist()):
+    for row, m in enumerate(step.sizes.tolist()):
+        if m not in rows:
+            continue
         group = np.full(3, m)
-        for j in _edge_uniforms(tables, row):
+        for j in _edge_uniforms(step, row):
             mine, numpy_ = forced_generator(j), forced_generator(j)
-            got = tables.draw(mine, group)
-            want = numpy_.binomial(group, probs[group])
+            got = _sizes(step, step(mine, _ids(step, group))[0])
+            want = after[offset[group] + numpy_.binomial(group, probs[group])]
             mismatches += not np.array_equal(got, want) or mine.random() != numpy_.random()
             checked += 1
-            redraws += j > tables.thresholds[row, tables.bound[row]]
+            redraws += j > step.thresholds[row, step.bound[row]]
     assert mismatches == 0, f"{mismatches} of {checked} forced uniforms differ from numpy"
     assert redraws > 0
 
 
 @pytest.mark.parametrize("name", sorted(ROWS))
 def test_every_pure_bucket_holds_the_count_its_thresholds_give(name):
-    tables = _InversionTables(*ROWS[name]())
-    first = np.arange(4096, dtype=np.int64) << _InversionTables.BUCKET_BITS
-    last = first + (1 << _InversionTables.BUCKET_BITS) - 1
-    for row, t in enumerate(tables.thresholds):
+    # the count as the size the split leaves after it
+    probs, offset, after = _tables(ROWS[name]())
+    step = _CaptureStep(probs, offset, after)
+    first = np.arange(4096, dtype=np.int64) << _CaptureStep.BUCKET_BITS
+    last = first + (1 << _CaptureStep.BUCKET_BITS) - 1
+    for row, t in enumerate(step.thresholds):
+        m = step.sizes[row]
         x_first = np.count_nonzero(first[:, None] > t, axis=1)
         x_last = np.count_nonzero(last[:, None] > t, axis=1)
-        lut = tables.lut[row * 4096:(row + 1) * 4096]
-        pure = (x_first == x_last) & (x_first <= tables.bound[row])
-        assert np.array_equal(lut >= 0, pure)
-        assert np.array_equal(lut[pure], x_first[pure])
+        fused = step.fused[row * 4096:(row + 1) * 4096]
+        pure = (x_first == x_last) & (x_first <= step.bound[row])
+        assert np.array_equal(fused != _CaptureStep.SLOW, pure)
+        k = m - x_first[pure] if probs[m] > 0.5 else x_first[pure]
+        assert np.array_equal(_sizes(step, fused[pure]), after[offset[m] + k])
 
 
-def _draw(rows: dict[int, float]):
-    """``_binomial_draw`` for a policy reaching the sizes of ``rows``."""
-    probs, sizes = _rows(rows)
-    offset = np.full(len(probs), -1)
-    offset[sizes] = 0
-    return probs, _binomial_draw(probs, offset)
-
-
-def _assert_slots_match(rows: dict[int, float], group: np.ndarray, seed: int, slots: int = 3) -> None:
-    probs, draw = _draw(rows)
+def _assert_slots_match(rows: dict[int, float], group: np.ndarray, seed: int, slots: int = 3) -> _CaptureStep:
+    probs, offset, after = _tables(rows)
+    step = _CaptureStep(probs, offset, after)
     mine, numpy_ = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(slots):
-        assert np.array_equal(draw(mine, group), numpy_.binomial(group, probs[group]))
+        got = _sizes(step, step(mine, _ids(step, group))[0])
+        assert np.array_equal(got, after[offset[group] + numpy_.binomial(group, probs[group])])
     assert mine.random() == numpy_.random()
+    return step
 
 
 @pytest.mark.parametrize("m, p, tabled", [
@@ -138,9 +163,16 @@ def _assert_slots_match(rows: dict[int, float], group: np.ndarray, seed: int, sl
     (6, 1.0, True),
 ])
 def test_tables_only_where_numpy_inverts(m, p, tabled):
-    _, draw = _draw({m: p})
-    assert isinstance(getattr(draw, "__self__", None), _InversionTables) == tabled
-    _assert_slots_match({m: p, 1: 1.0}, np.repeat([m, 1], 5000), seed=m)
+    step = _assert_slots_match({m: p, 1: 1.0}, np.repeat([m, 1], 5000), seed=m)
+    assert (step.fused is not None) == tabled
+
+
+def test_row_bits_stay_below_the_sign_bit(monkeypatch):
+    # two rows fit below bit 63 when a row is worth 2^62, three do not
+    monkeypatch.setattr(_CaptureStep, "ROW_SHIFT", 62)
+    probs, offset, after = _tables({})
+    with pytest.raises(ValueError, match="at most 2 group sizes"):
+        _CaptureStep(probs, offset, after)
 
 
 def by_mean(m: int, low: float, high: float):

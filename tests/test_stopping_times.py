@@ -7,7 +7,10 @@ import functools
 import sys
 import threading
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slotmac import capture
 from slotmac.capture import (
@@ -18,13 +21,14 @@ from slotmac.capture import (
     simulate_capture,
     simulate_virtual_pair,
     solve_capture_table,
+    summarize_times,
 )
 from slotmac.multichannel import (
     simulate_multichannel,
     simulate_three_user_two_channel,
     simulate_two_user,
 )
-from slotmac.rng import RngStream
+from slotmac.rng import DOMAIN_CAPTURE, RngStream
 
 SKEWED = (0.7, 0.1, 0.1, 0.1)
 FAMILY = (0.4, 0.3, 0.6)
@@ -168,8 +172,8 @@ def test_exception_in_a_chunk_propagates(failing, monkeypatch):
             raise RuntimeError(f"chunk {chunk} failed")
         return RngStream(0, (chunk,))
 
-    def step(gen, state, open_count):
-        return gen.random(open_count) < 0.5, None, None
+    def step(gen, ids):
+        return np.where(gen.random(len(ids)) < 0.5, -1, 0), None
 
     with pytest.raises(RuntimeError, match="chunk [01] failed"):
         capture._stopping_times(stream, 20, step, chunk_size=10)
@@ -185,8 +189,8 @@ def test_every_chunk_runs_once_on_more_threads_than_cores(monkeypatch):
         asked.append(chunk)
         return RngStream(0, (chunk,))
 
-    def step(gen, state, open_count):
-        return gen.random(open_count) < 0.3, None, None
+    def step(gen, ids):
+        return np.where(gen.random(len(ids)) < 0.3, -1, 0), None
 
     def run(cpus):
         monkeypatch.setattr(capture, "_usable_cpus", lambda: cpus)
@@ -219,3 +223,85 @@ SIMULATORS = {
 def test_simulators_reject_empty_runs(name, episodes, max_slots):
     with pytest.raises(ValueError, match="episodes >= 1 and max_slots >= 1"):
         SIMULATORS[name](episodes, max_slots)
+
+
+def test_a_chunk_too_large_for_its_index_field_is_refused():
+    # the one-stream virtual pair is a single chunk of every episode; the
+    # check comes before the 32 GiB output array is asked for
+    with pytest.raises(ValueError, match="a chunk holds at most 4294967296 episodes"):
+        simulate_virtual_pair(2**32 + 1, seed=0)
+
+
+VERDICTS = ("transmitters", "silent", "repeat")
+
+
+class _TablePolicy:
+    """A capture policy read from tables: p per group size and a survivor
+    verdict per (size, count)."""
+
+    def __init__(self, probs: list[float], verdicts: np.ndarray):
+        self.probs, self.verdicts = [0.0, *probs], verdicts
+
+    def transmit_prob(self, group_size: int) -> float:
+        return self.probs[group_size]
+
+    def survivor(self, group_size: int, transmitted: int) -> str:
+        return VERDICTS[self.verdicts[group_size, transmitted]]
+
+
+def _reference_capture(policy: _TablePolicy, users: int, episodes: int, seed: int, max_slots: int):
+    """``simulate_capture`` written as a plain loop: ``Generator.binomial``
+    every slot on the chunk's stream, and masks that compact the open
+    episodes' indices and group sizes."""
+    def side(m: int, k: int) -> int:
+        if not 1 < k < m:  # 0 and m reveal nothing; 1 ends the episode
+            return m
+        return {"transmitters": k, "silent": m - k, "repeat": m}[policy.survivor(m, k)]
+
+    sizes = range(users + 1)
+    probs = np.array([policy.transmit_prob(m) for m in sizes])
+    after = np.array([[side(m, k) for k in sizes] for m in sizes])
+    done_at = np.zeros(episodes, dtype=np.int64)
+    for chunk in range(-(-episodes // CHUNK_SIZE)):
+        ends = done_at[chunk * CHUNK_SIZE:(chunk + 1) * CHUNK_SIZE]
+        gen = RngStream(seed, (DOMAIN_CAPTURE, users, chunk)).generator()
+        open_idx, group = np.arange(len(ends)), np.full(len(ends), users)
+        for t in range(1, max_slots + 1):
+            if len(open_idx) == 0:
+                break
+            k = gen.binomial(group, probs[group])
+            ended = k == 1
+            ends[open_idx[ended]] = t
+            open_idx, group = open_idx[~ended], after[group, k][~ended]
+    return summarize_times(done_at[done_at > 0], int(np.count_nonzero(done_at == 0)))
+
+
+def _prob(m: int, zero: bool):
+    """p for size m: 1, any p in (0, 1), p above 1/2, or min(p, 1 - p) m
+    within 1/2 of the 30 where numpy leaves inversion for BTPE; and 0 too
+    when ``zero``, which draws no uniform."""
+    near_btpe = st.floats(29.5, 30.5).map(lambda mean: min(mean / m, 0.5))
+    p = (st.just(1.0) | st.floats(0.0, 1.0, exclude_min=True) | st.floats(0.5, 1.0, exclude_min=True)
+         | near_btpe | near_btpe.map(lambda p: 1.0 - p))
+    return p | st.just(0.0) if zero else p
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    users=st.integers(1, 70),
+    zero=st.booleans(),
+    data=st.data(),
+    verdict_seed=st.integers(0, 2**32 - 1),
+    repeats=st.floats(0.0, 1.0),
+    episodes=st.integers(1, 2000),
+    seed=st.integers(0, 2**32 - 1),
+    max_slots=st.integers(1, 40),
+)
+def test_capture_equals_a_reference_loop(users, zero, data, verdict_seed, repeats, episodes, seed, max_slots):
+    # p = 0, or m p' > 30 past 60 users, takes the policy off the inversion tables
+    probs = [data.draw(_prob(m, zero)) for m in range(1, users + 1)]
+    verdicts = np.random.default_rng(verdict_seed).choice(
+        3, size=(users + 1, users + 1), p=[(1 - repeats) / 2, (1 - repeats) / 2, repeats])
+    policy = _TablePolicy(probs, verdicts)
+    got = simulate_capture(policy, users, episodes, seed, max_slots=max_slots)
+    assert repr(got) == repr(_reference_capture(policy, users, episodes, seed, max_slots))
