@@ -51,27 +51,24 @@ sees the ids of the still-open episodes and returns their next row bits,
 -1 for those that end at t, with a mask of those that end at t + 1 (a
 deterministic follow-up slot) or None.  The loop writes t as the end of
 every open episode, so the last write stands, puts the indices back
-under the row bits and compacts that one array.  An end past
-``max_slots`` is censored: reset to 0, counted in ``SimSummary.censored``
-and left out of the mean.
+under the row bits and compacts that one array with one ``compress``.
+An end past ``max_slots`` is censored: reset to 0, counted in
+``SimSummary.censored`` and left out of the mean.
+
+The steps read raw PCG64 words where numpy's draws would: a word w is the
+uniform (w >> 11) 2^-53 of ``Generator.random``, and w >> 52 its bucket,
+which ``_bucket_counts`` tables for the capture step and ``multichannel``'s
+subset codes alike.  The virtual pair's two coins are bits 31 and 63 of a
+word, as ``Generator.integers(0, 2, size=(n, 2))`` returns them.
 
 ``simulate_capture``'s step, ``_CaptureStep``, keeps each episode's group
-size as its row.  numpy draws a binomial with min(p, 1 - p) m <= 30 by
-inversion, a monotone function of one uniform, so a lookup on that uniform
-gives numpy's integer: the same uniforms are read in the same order and no
-output bit moves.  The lookup is fused: the bucket of the uniform's top 12
-bits in the group's row holds the next group's row bits, after the
-p > 1/2 flip and the policy's split, or -1 for a capture, so a slot is one
-gather and one compaction per open episode.  The tables are built once a
-call before the chunks start and only read by them.  A policy with a
-reachable size off that path (p = 0, or min(p, 1 - p) m > 30) keeps
-``Generator.binomial``, as does any slot where numpy's sampler would
-redraw; both map the count to the next row through the same per-row
-table.  The tables reproduce numpy 2.4's sampler;
-``tests/test_inversion_tables.py`` fails first if a later numpy changes it.
-On a 2-vCPU host 4M episodes at 100 users take about 0.23 s on two
-workers and 0.30 s on one, against 0.38 s and 0.52 s with separate count,
-flip and split lookups and three compactions a slot.
+size as its row and reads numpy's binomial, an inversion of one uniform
+when min(p, 1 - p) m <= 30, from tables: the bucket of the word in the
+group's row holds the next group's row bits, so a slot is one gather and
+one compaction per open episode.  ``tests/test_inversion_tables.py`` fails
+first if a later numpy changes its sampler or its draws from raw words.
+On a 2-vCPU host 4M episodes at 100 users take about 0.12 s on two
+workers and 0.14 s on one.
 """
 
 from __future__ import annotations
@@ -93,6 +90,7 @@ MAX_USERS = 1027  # largest n with C(n, n // 2) * e finite in float64
 CHUNK_SIZE = 65_536  # episodes per simulation chunk, each with its own stream
 INDEX_BITS = 32  # an episode's id holds its index in its chunk in the low bits, its row above
 INDEX_MASK = (1 << INDEX_BITS) - 1
+BUCKET_BITS = 41  # a bucket is the top 12 of a uniform j 2^-53's 53 bits, a raw word w's top 12 as j = w >> 11
 RELAXATION_GRID = 401  # points per axis of each zoom of the three-user relaxation scan
 RELAXATION_ZOOMS = 8
 
@@ -255,12 +253,23 @@ class SimSummary:
 
 
 def summarize_times(times: np.ndarray, censored: int) -> SimSummary:
+    """The bits of ``np.mean`` and ``np.std(ddof=1)``, the mean taken as
+    numpy's ``_var`` takes it, without std's episodes-sized temporary."""
     completed = len(times)
     if completed == 0:
         return SimSummary(censored, 0, censored, math.nan, math.nan)
-    mean = float(np.mean(times))
-    stderr = float(np.std(times, ddof=1) / math.sqrt(completed)) if completed > 1 else math.nan
-    return SimSummary(completed + censored, completed, censored, mean, stderr)
+    mean = np.add.reduce(times, dtype=np.float64, keepdims=True) / completed
+    stderr = math.sqrt(_squares(times, mean) / (completed - 1)) / math.sqrt(completed) if completed > 1 else math.nan
+    return SimSummary(completed + censored, completed, censored, float(mean[0]), stderr)
+
+
+def _squares(times: np.ndarray, mean: np.ndarray) -> float:
+    """sum((times - mean)^2) on numpy's pairwise tree, split at n // 2 - n // 2 % 8."""
+    if len(times) > 1 << 16:
+        half = len(times) // 2 - len(times) // 2 % 8
+        return _squares(times[:half], mean) + _squares(times[half:], mean)
+    x = times - mean
+    return np.add.reduce(np.multiply(x, x, out=x))
 
 
 def _policy_tables(policy: CapturePolicy, users: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -286,6 +295,15 @@ def _policy_tables(policy: CapturePolicy, users: int) -> tuple[np.ndarray, np.nd
         after += [m, 0, *splits, m][: m + 1]  # k = 0, 1 (captures: no group left), 2..m-1, m
         pending += [size for size in splits if offset[size] < 0]
     return probs, offset, np.array(after, dtype=np.int64)
+
+
+def _bucket_counts(thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For a draw j whose outcome is #{k : j > t_k}, t non-decreasing and
+    then at least 2^53 - 1, which no j passes: the count at the first j of each bucket
+    [b 2^41, (b + 1) 2^41), b < 4,096, and whether no t_k falls inside it."""
+    first = np.arange(4096, dtype=np.int64) << BUCKET_BITS
+    count = np.searchsorted(thresholds, first)
+    return count, count == np.searchsorted(thresholds, first | ((1 << BUCKET_BITS) - 1))
 
 
 def _usable_cpus() -> int:
@@ -325,9 +343,9 @@ def _stopping_times(stream: Callable[[int], RngStream], episodes: int, step: Cal
             ids &= INDEX_MASK  # in place: the step is done with the ids
             ends[ids] = t  # kept by the episodes that end now, overwritten by the rest
             if ends_next is not None:
-                ends[ids[ends_next]] = t + 1 if t < max_slots else 0
+                ends[ids.compress(ends_next)] = t + 1 if t < max_slots else 0
             row |= ids
-            ids = row[row >= 0]
+            ids = row.compress(row >= 0)
         ends[ids & INDEX_MASK] = 0  # open after max_slots: censored
 
     run_units(-(-episodes // chunk_size), run_chunk, _usable_cpus())
@@ -360,17 +378,16 @@ class _CaptureStep:
     running the loop above elementwise.
 
     When every row is on that path, ``fused`` holds 4,096 buckets per row.
-    Entry r 4096 + b, which is id >> ``INDEX_BITS`` plus b, the uniform's
-    top 12 of 53 bits, holds the next row bits of every j in
-    [b 2^41, (b + 1) 2^41), or ``SLOW`` where a threshold or the redraw
-    region falls in the bucket; those draws, about 0.2%, count thresholds.
+    Entry r 4096 + b, id >> ``INDEX_BITS`` plus the bucket b = w >> 52 of
+    U's raw word w, holds the next row bits of the bucket's j, or ``SLOW``
+    where a threshold or the redraw region falls in it; those draws, about
+    0.2%, count thresholds below j = w >> 11.
     A slot with a redraw rewinds its uniforms and calls ``gen.binomial``
     itself, as does every slot of a policy with a row off the path (p = 0,
     or min(p, 1 - p) m > 30).  One gather then replaces the count, the
     flip and the split."""
 
     TOP = 2**53 - 1  # j of the largest double Generator.random returns
-    BUCKET_BITS = 41  # a bucket is a uniform's top 12 of 53 bits
     ROW_SHIFT = INDEX_BITS + 12  # row r starts at bucket r 4096 of ``fused``
     SLOW = -2
 
@@ -417,11 +434,10 @@ class _CaptureStep:
         # row by row, so the build holds no more than one row of temporaries;
         # int64 like the ids, since widening a narrower table each slot cost
         # about a fifth more time
-        first = np.arange(4096, dtype=np.int64) << self.BUCKET_BITS
         fused = np.empty((len(sizes), 4096), dtype=np.int64)
         for r, t in enumerate(lo):
-            x = np.searchsorted(t, first)  # the X of each bucket's first j: the thresholds below it
-            pure = (x == np.searchsorted(t, first | ((1 << self.BUCKET_BITS) - 1))) & (x <= self.bound[r])
+            x, pure = _bucket_counts(t)
+            pure &= x <= self.bound[r]
             k = np.abs(self.flipped[r] - np.minimum(x, self.bound[r]))
             fused[r] = np.where(pure, self.next[self.koff[r] + k], self.SLOW)
         self.fused = fused.ravel()
@@ -429,15 +445,14 @@ class _CaptureStep:
     def __call__(self, gen: np.random.Generator, ids: np.ndarray) -> tuple[np.ndarray, None]:
         if self.fused is None:
             return self._binomial(gen, ids), None
-        u = gen.random(len(ids))
-        u *= 4096  # exact: u's top 12 bits become its bucket
-        key = u.astype(np.int64)
+        w = gen.bit_generator.random_raw(len(ids))  # Generator.random's words: u = (w >> 11) 2^-53
+        key = (w >> 52).view(np.int64)  # u's top 12 bits: its bucket
         key += ids >> INDEX_BITS
         row = self.fused[key]
         slow = np.flatnonzero(row == self.SLOW)
         if len(slow):
             r = ids[slow] >> self.ROW_SHIFT
-            j = (u[slow] * 2.0**41).astype(np.int64)
+            j = (w[slow] >> 11).view(np.int64)
             x = np.count_nonzero(j[:, None] > self.thresholds[r], axis=1)
             if (x > self.bound[r]).any():
                 gen.bit_generator.advance(-len(ids))
@@ -477,9 +492,10 @@ def simulate_virtual_pair(episodes: int, seed: int, max_slots: int = 10_000) -> 
     episodes share one unchunked stream."""
 
     def step(gen, ids):
-        # the packets are freed before the row bits are made: this one chunk holds every episode
-        differ = np.not_equal(*gen.integers(0, 2, size=(len(ids), 2)).T)
-        return np.where(differ, -1, 0), None
+        # the coins are bits 31 and 63 of a word: -1 where their xor, now bit 63, is set
+        w = gen.bit_generator.random_raw(len(ids))
+        w ^= w << 32
+        return w.view(np.int64) >> 63, None
 
     return _stopping_times(lambda chunk: RngStream(seed, (DOMAIN_MISC, 2)), episodes, step,
                            max_slots=max_slots, chunk_size=episodes)

@@ -23,6 +23,11 @@ every theta pattern the minimum code is held by exactly one user, and each
 user can decide from its own view whether that is them (in the one
 ambiguous view, both possible worlds say "not you").  The 64-pattern space
 is small enough that tests simply enumerate it.
+
+The simulators draw a subset code from a table over the buckets of a
+uniform's raw word, searching cum only in buckets a threshold falls in
+(``_code_drawer``), and the three-user step reads each round's outcome
+from a 64-entry table of code patterns.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .capture import (
     CaptureTable,
     GroupSplittingPolicy,
     SimSummary,
+    _bucket_counts,
     _stopping_times,
     simulate_capture,
     solve_capture_table,
@@ -215,9 +221,23 @@ def _subset_count(channels: int) -> int:
     return 1 << channels
 
 
-def _draw_codes(gen: np.random.Generator, cum: np.ndarray, rows: int, users: int) -> np.ndarray:
-    u = gen.random((rows, users))
-    return np.searchsorted(cum, u, side="right")
+def _code_drawer(dist: np.ndarray) -> Callable[[np.random.Generator, int, int], np.ndarray]:
+    """``draw(gen, rows, users)`` is ``np.searchsorted(cum, gen.random((rows, users)), "right")``, cum
+    ``dist``'s cumsum ending in 1, from the same words: the k with w >> 11 > ceil(cum_k 2^53) - 1."""
+    cum = np.cumsum(dist)
+    cum[-1] = 1.0
+    count, pure = _bucket_counts(np.ceil(cum * 2.0**53).astype(np.int64) - 1)
+    table = np.where(pure, count, -1)
+
+    def draw(gen: np.random.Generator, rows: int, users: int) -> np.ndarray:
+        w = gen.bit_generator.random_raw(rows * users)
+        codes = table[(w >> 52).view(np.int64)]
+        slow = np.flatnonzero(codes < 0)
+        if len(slow):
+            codes[slow] = np.searchsorted(cum, (w[slow] >> 11) * 2.0**-53, side="right")
+        return codes.reshape(rows, users)
+
+    return draw
 
 
 def simulate_two_user(
@@ -236,11 +256,10 @@ def simulate_two_user(
     q = _checked_distribution(distribution)
     if len(q) != n_subsets:
         raise ValueError(f"distribution must cover all {n_subsets} subsets")
-    cum = np.cumsum(q)
-    cum[-1] = 1.0
+    draw = _code_drawer(q)
 
     def step(gen, ids):
-        codes = _draw_codes(gen, cum, len(ids), 2)
+        codes = draw(gen, len(ids), 2)
         return np.where(codes[:, 0] != codes[:, 1], -1, 0), None
 
     return _stopping_times(lambda chunk: RngStream(seed, (DOMAIN_MULTICHANNEL, 2, channels, chunk)), episodes,
@@ -248,6 +267,14 @@ def simulate_two_user(
 
 
 DEFAULT_THREE_USER_PARAMS = (0.5, 0.0, 1.0)  # the optimum, at value 4/3
+
+
+def _three_user_outcomes() -> tuple[np.ndarray, np.ndarray]:
+    """Per pattern c0 | c1 << 2 | c2 << 4: next row bits (0 on a repeat, else -1), follow-up or not."""
+    codes = np.arange(64)[:, None] >> np.array([0, 2, 4]) & 3
+    capture = ((codes & 1).sum(axis=1) == 1) | ((codes >> 1).sum(axis=1) == 1)
+    same = (codes == codes[:, :1]).all(axis=1)
+    return np.where(same, 0, -1), ~capture & ~same
 
 
 def simulate_three_user_two_channel(
@@ -268,17 +295,13 @@ def simulate_three_user_two_channel(
     if beta_theta_full(p, q, r).beta >= 1.0:  # also validates the parameters
         raise ValueError("these parameters never capture (beta = 1)")
     dist = np.array([(1 - p) * (1 - r), p * (1 - q), (1 - p) * r, p * q])
-    cum = np.cumsum(dist)
-    cum[-1] = 1.0
+    draw = _code_drawer(dist)
+    row, follow_up = _three_user_outcomes()
 
     def step(gen, ids):
-        codes = _draw_codes(gen, cum, len(ids), 3)
-        bit1, bit2 = codes & 1, (codes >> 1) & 1
-        c1 = bit1[:, 0] + bit1[:, 1] + bit1[:, 2]
-        c2 = bit2[:, 0] + bit2[:, 1] + bit2[:, 2]
-        capture = (c1 == 1) | (c2 == 1)
-        same = (codes[:, 0] == codes[:, 1]) & (codes[:, 1] == codes[:, 2])
-        return np.where(same, 0, -1), ~capture & ~same
+        codes = draw(gen, len(ids), 3)
+        pattern = codes[:, 0] | codes[:, 1] << 2 | codes[:, 2] << 4
+        return row[pattern], follow_up[pattern]
 
     return _stopping_times(lambda chunk: RngStream(seed, (DOMAIN_MULTICHANNEL, 3, 2, chunk)), episodes, step,
                            max_slots=max_slots)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slotmac import GroupSplittingPolicy, solve_capture_table
-from slotmac.capture import INDEX_MASK, _CaptureStep, _policy_tables
+from slotmac.capture import BUCKET_BITS, INDEX_MASK, _CaptureStep, _policy_tables
 
 TOP = _CaptureStep.TOP
 PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -41,6 +41,27 @@ def forced_generator(j: int) -> np.random.Generator:
 def test_forced_generator_reads_the_uniform_asked_for():
     for j in (0, 1, 12345, 2**52, TOP):
         assert forced_generator(j).random() == j * 2.0**-53
+
+
+# the stopping-time steps read raw PCG64 words in place of the draws below;
+# a numpy that maps words to draws differently fails these first
+
+def test_raw_words_are_the_uniforms_generator_random_returns():
+    raw, numpy_ = np.random.Generator(np.random.PCG64(3)), np.random.Generator(np.random.PCG64(3))
+    for shape in (1, 7, 1000, (500, 3)):
+        assert np.array_equal((raw.bit_generator.random_raw(shape) >> 11) * 2.0**-53, numpy_.random(shape))
+    assert raw.random() == numpy_.random()
+
+
+def test_coin_pairs_are_bits_31_and_63_of_raw_words():
+    # Lemire's method on range 2 keeps the top bit of each 32-bit half of
+    # a word, low half first; consecutive calls on one generator would show
+    # a half carried over from the call before
+    raw, numpy_ = np.random.Generator(np.random.PCG64(4)), np.random.Generator(np.random.PCG64(4))
+    for n in (1, 7, 1000, 1, 7, 1000, 7):
+        w = raw.bit_generator.random_raw(n)
+        assert np.array_equal(numpy_.integers(0, 2, size=(n, 2)), np.stack([w >> 31 & 1, w >> 63], axis=1))
+    assert raw.random() == numpy_.random()
 
 
 # seven sizes, on the inversion path, that the split sends k of m to by
@@ -93,7 +114,7 @@ def _edge_uniforms(step: _CaptureStep, row: int) -> list[int]:
     threshold included), and the first and last j of each bucket holding a
     threshold and of its neighbours."""
     js = {0, TOP}
-    bucket = 1 << _CaptureStep.BUCKET_BITS
+    bucket = 1 << BUCKET_BITS
     for t in step.thresholds[row, : step.bound[row] + 1].tolist():
         js.update(range(t - 1, t + 3))
         first = (max(t, 0) // bucket) * bucket
@@ -129,8 +150,8 @@ def test_every_pure_bucket_holds_the_count_its_thresholds_give(name):
     # the count as the size the split leaves after it
     probs, offset, after = _tables(ROWS[name]())
     step = _CaptureStep(probs, offset, after)
-    first = np.arange(4096, dtype=np.int64) << _CaptureStep.BUCKET_BITS
-    last = first + (1 << _CaptureStep.BUCKET_BITS) - 1
+    first = np.arange(4096, dtype=np.int64) << BUCKET_BITS
+    last = first + (1 << BUCKET_BITS) - 1
     for row, t in enumerate(step.thresholds):
         m = step.sizes[row]
         x_first = np.count_nonzero(first[:, None] > t, axis=1)

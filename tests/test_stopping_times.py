@@ -4,6 +4,8 @@ and the input checks the loop owns."""
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import sys
 import threading
 
@@ -24,6 +26,8 @@ from slotmac.capture import (
     summarize_times,
 )
 from slotmac.multichannel import (
+    _code_drawer,
+    _three_user_outcomes,
     simulate_multichannel,
     simulate_three_user_two_channel,
     simulate_two_user,
@@ -149,8 +153,7 @@ def test_simulator_draws_are_pinned(name, capture_table):
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
-@pytest.mark.parametrize("name", ["capture_two_chunks", "capture_hundred_three_chunks", "two_user_two_chunks",
-                                  "three_two_two_chunks"])
+@pytest.mark.parametrize("name", sorted(PINNED))
 def test_worker_count_changes_no_bit(name, cpus, capture_table, monkeypatch):
     monkeypatch.setattr(capture, "_usable_cpus", lambda: cpus)
     call, expected = PINNED[name]
@@ -305,3 +308,80 @@ def test_capture_equals_a_reference_loop(users, zero, data, verdict_seed, repeat
     policy = _TablePolicy(probs, verdicts)
     got = simulate_capture(policy, users, episodes, seed, max_slots=max_slots)
     assert repr(got) == repr(_reference_capture(policy, users, episodes, seed, max_slots))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 129, 8193, 65536, 65537, 131_073, 300_007, 1_048_583])
+def test_summary_has_the_bits_of_numpy_mean_and_std(n):
+    # the pairwise tree splits past 2^16 elements, a sum of squares at a time
+    times = np.random.default_rng(n).geometric(0.05, n).astype(np.int64)
+    s = summarize_times(times, 3)
+    stderr = float(np.std(times, ddof=1) / math.sqrt(n)) if n > 1 else math.nan
+    assert (s.episodes, s.completed, s.censored) == (n + 3, n, 3)
+    assert (repr(s.mean), repr(s.stderr)) == (repr(float(np.mean(times))), repr(stderr))
+
+
+TOP = 2**53 - 1
+BUCKET = 1 << 41  # the j of one of the 4,096 buckets
+
+
+class _Words:
+    """A generator stand-in whose bit generator hands out given raw words."""
+
+    def __init__(self, words: np.ndarray):
+        self.bit_generator, self.words = self, words
+
+    def random_raw(self, size):
+        assert size == len(self.words)
+        return self.words.copy()
+
+
+# subset weights: anywhere, zero, on the 2^-12 grid of bucket edges, or a
+# j or two off it; forty of them may sum past 1 before the last
+WEIGHTS = (st.floats(0.0, 0.05) | st.just(0.0) | st.integers(0, 100).map(lambda i: i / 4096)
+           | st.sampled_from([2.0**-53, 2.0**-52, 1e-300]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(dist=st.lists(WEIGHTS, min_size=1, max_size=40).map(np.array)
+       | st.sampled_from([2, 3, 13]).map(lambda m: np.full(1 << m, 2.0**-m)),
+       low=st.integers(0, 2**11 - 1), seed=st.integers(0, 2**32 - 1))
+def test_code_lookup_equals_searchsorted_on_the_same_uniforms(dist, low, seed):
+    # words at, around and past every threshold, at the first and last j of
+    # each bucket that holds one, and at random; 13 channels put 8,192
+    # thresholds in 4,096 buckets
+    cum = np.cumsum(dist)
+    cum[-1] = 1.0
+    t = np.ceil(cum * 2.0**53).astype(np.int64) - 1
+    first = t // BUCKET * BUCKET
+    rng = np.random.default_rng(seed)
+    j = np.concatenate([[0, TOP], t - 1, t, t + 1, t + 2, first, first + BUCKET - 1, rng.integers(0, TOP, 100)])
+    words = np.clip(j, 0, TOP).astype(np.uint64) << 11 | np.uint64(low)
+    draw = _code_drawer(dist)
+    codes = draw(_Words(words), len(words), 1)
+    assert np.array_equal(codes[:, 0], np.searchsorted(cum, (words >> 11) * 2.0**-53, side="right"))
+    # and from a real stream, whose words the step reads where numpy's uniforms were
+    mine, numpy_ = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = draw(mine, 500, 3)
+    assert np.array_equal(got, np.searchsorted(cum, numpy_.random((500, 3)), side="right"))
+    assert mine.random() == numpy_.random()
+
+
+def _bit_logic(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The three-user step's outcome from (n, 3) subset codes, worked out
+    with bit arithmetic per draw: the next row bits and the follow-up mask."""
+    bit1, bit2 = codes & 1, (codes >> 1) & 1
+    c1 = bit1[:, 0] + bit1[:, 1] + bit1[:, 2]
+    c2 = bit2[:, 0] + bit2[:, 1] + bit2[:, 2]
+    capture = (c1 == 1) | (c2 == 1)
+    same = (codes[:, 0] == codes[:, 1]) & (codes[:, 1] == codes[:, 2])
+    return np.where(same, 0, -1), ~capture & ~same
+
+
+def test_outcome_table_equals_the_bit_logic_on_every_pattern():
+    codes = np.array(list(itertools.product(range(4), repeat=3)))
+    pattern = codes[:, 0] | codes[:, 1] << 2 | codes[:, 2] << 4
+    assert sorted(pattern.tolist()) == list(range(64))
+    row, follow_up = _three_user_outcomes()
+    want_row, want_follow_up = _bit_logic(codes)
+    assert row.dtype == np.int64 and follow_up.dtype == bool
+    assert np.array_equal(row[pattern], want_row) and np.array_equal(follow_up[pattern], want_follow_up)
