@@ -57,15 +57,16 @@ An end past ``max_slots`` is censored: reset to 0, counted in
 
 The steps read raw PCG64 words where numpy's draws would: a word w is the
 uniform (w >> 11) 2^-53 of ``Generator.random``, and w >> 52 its bucket,
-which ``_bucket_counts`` tables for the capture step and ``multichannel``'s
-subset codes alike.  The virtual pair's two coins are bits 31 and 63 of a
-word, as ``Generator.integers(0, 2, size=(n, 2))`` returns them.
+which ``_bucket_table`` tables for the capture step and ``multichannel``'s
+subset codes alike, marking a bucket a threshold falls in ``SLOW``.  The
+virtual pair's coins are bits 31 and 63 of a word, as
+``Generator.integers(0, 2, size=(n, 2))`` returns them.
 
 ``simulate_capture``'s step, ``_CaptureStep``, keeps each episode's group
-size as its row and reads numpy's binomial, an inversion of one uniform
-when min(p, 1 - p) m <= 30, from tables: the bucket of the word in the
-group's row holds the next group's row bits, so a slot is one gather and
-one compaction per open episode.  ``tests/test_inversion_tables.py`` fails
+size's row of ``_policy_rows`` and reads numpy's binomial, an inversion of
+one uniform when min(p, 1 - p) m <= 30, from tables: the bucket of the
+word in the group's row holds the next group's row bits, so a slot is one
+gather and one compaction per open episode.  ``tests/test_inversion_tables.py`` fails
 first if a later numpy changes its sampler or its draws from raw words.
 On a 2-vCPU host 4M episodes at 100 users take about 0.12 s on two
 workers and 0.14 s on one.
@@ -91,6 +92,7 @@ CHUNK_SIZE = 65_536  # episodes per simulation chunk, each with its own stream
 INDEX_BITS = 32  # an episode's id holds its index in its chunk in the low bits, its row above
 INDEX_MASK = (1 << INDEX_BITS) - 1
 BUCKET_BITS = 41  # a bucket is the top 12 of a uniform j 2^-53's 53 bits, a raw word w's top 12 as j = w >> 11
+SLOW = -2  # a bucket-table entry whose bucket holds a threshold: the draw is looked up on its own
 RELAXATION_GRID = 401  # points per axis of each zoom of the three-user relaxation scan
 RELAXATION_ZOOMS = 8
 
@@ -206,10 +208,16 @@ class GroupSplittingPolicy:
 
     table: CaptureTable
 
+    def _check(self, group_size: int) -> None:
+        if not 1 <= group_size <= self.table.n_max:
+            raise ValueError(f"group size {group_size} is outside the solved table's 1..n_max = {self.table.n_max}")
+
     def transmit_prob(self, group_size: int) -> float:
+        self._check(group_size)
         return self.table.probs[group_size]
 
     def survivor(self, group_size: int, transmitted: int) -> str:
+        self._check(group_size)
         zs = self.table.values
         # ties go to the transmitters
         if zs[transmitted] <= zs[group_size - transmitted]:
@@ -272,38 +280,37 @@ def _squares(times: np.ndarray, mean: np.ndarray) -> float:
     return np.add.reduce(np.multiply(x, x, out=x))
 
 
-def _policy_tables(policy: CapturePolicy, users: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Materialize a policy as lookup tables for the vectorized loop, for
-    the group sizes reachable from ``users`` only: ``probs[m]`` is the
-    transmit probability of size m, and the group size after k of m
-    transmit is ``after[offset[m] + k]`` (m itself when the policy
-    repeats, 0 at k = 1, which captures).  ``offset[m]`` is where size m's row of m + 1 entries starts
-    in the flat ``after``, and -1 for an unreachable size, so a policy that
-    never splits builds one row whatever ``users`` is."""
-    probs = np.zeros(users + 1)
-    offset = np.full(users + 1, -1, dtype=np.int64)
+def _policy_rows(policy: CapturePolicy, users: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Materialize a policy as rows for the vectorized loop, one per group
+    size reachable from ``users``, numbered in the order they are reached:
+    ``sizes[r]`` is row r's size (row 0 is ``users``) and ``probs[r]`` its
+    transmit probability, and the row left after k of its m transmit is
+    ``after[koff[r] + k]`` (r itself when the policy repeats, -1 at k = 1,
+    which captures); row r starts at ``koff[r]``.  The policy is asked about
+    reachable sizes only, so a policy that never splits builds one row."""
+    sizes = [users]
+    row_of = {users: 0}
+    probs: list[float] = []
     after: list[int] = []
-    pending = [users]
-    while pending:
-        m = pending.pop()
-        if offset[m] >= 0:
-            continue
-        probs[m] = policy_prob(policy, m)
-        offset[m] = len(after)
+    for r, m in enumerate(sizes):  # ``sizes`` grows as new sizes are reached
+        probs.append(policy_prob(policy, m))
         sides = [(k, policy_side(policy, m, k)) for k in range(2, m)]
         splits = [m if side is None else k if side == TRANSMIT else m - k for k, side in sides]
-        after += [m, 0, *splits, m][: m + 1]  # k = 0, 1 (captures: no group left), 2..m-1, m
-        pending += [size for size in splits if offset[size] < 0]
-    return probs, offset, np.array(after, dtype=np.int64)
+        rows = [row_of.setdefault(size, len(row_of)) for size in splits]  # a new size takes the next row
+        sizes += list(row_of)[len(sizes):]
+        after += [r, -1, *rows, r][: m + 1]  # k = 0, 1, 2..m-1, m
+    m = np.array(sizes, dtype=np.int64)
+    return m, np.array(probs), np.cumsum(m + 1) - (m + 1), np.array(after, dtype=np.int64)  # a row of size m has m + 1
 
 
-def _bucket_counts(thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For a draw j whose outcome is #{k : j > t_k}, t non-decreasing and
-    then at least 2^53 - 1, which no j passes: the count at the first j of each bucket
-    [b 2^41, (b + 1) 2^41), b < 4,096, and whether no t_k falls inside it."""
+def _bucket_table(thresholds: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """For a draw j whose outcome is #{k : j > t_k}, t non-decreasing: per bucket
+    [b 2^41, (b + 1) 2^41) of j, b < 4,096, ``values`` at the outcome where no
+    t_k falls inside it, else ``SLOW``; ``values`` covers outcomes 0..len(t)."""
     first = np.arange(4096, dtype=np.int64) << BUCKET_BITS
     count = np.searchsorted(thresholds, first)
-    return count, count == np.searchsorted(thresholds, first | ((1 << BUCKET_BITS) - 1))
+    pure = count == np.searchsorted(thresholds, first | ((1 << BUCKET_BITS) - 1))
+    return np.where(pure, values[count], SLOW)
 
 
 def _usable_cpus() -> int:
@@ -360,10 +367,10 @@ class _CaptureStep:
     episode's group size m and maps the count k to the next row through
     the policy's ``after``, from the same uniforms numpy would read.
 
-    Row r is the r-th size ``_policy_tables`` reached, so row 0 is the
-    starting size; an episode's id is r << ``ROW_SHIFT`` | its index.
-    ``next[koff[r] + k]`` holds the row bits of the size k of m leave
-    (``row_bits[after]``), or -1 where k = 1 captures.
+    It takes ``_policy_rows`` as they are; an episode's id is
+    r << ``ROW_SHIFT`` | its index, and ``next[koff[r] + k]`` holds the bits
+    of the row that k of m leave (``after`` shifted), or -1 where k = 1
+    captures.
 
     numpy 2.4 draws a binomial with min(p, 1 - p) m <= 30 by inversion
     (Kachitvichyanukul & Schmeiser, CACM 31(2), 1988) on p' = min(p, 1 - p),
@@ -389,17 +396,12 @@ class _CaptureStep:
 
     TOP = 2**53 - 1  # j of the largest double Generator.random returns
     ROW_SHIFT = INDEX_BITS + 12  # row r starts at bucket r 4096 of ``fused``
-    SLOW = -2
 
-    def __init__(self, probs: np.ndarray, offset: np.ndarray, after: np.ndarray):
-        sizes = np.flatnonzero(offset >= 0)
-        sizes = sizes[np.argsort(offset[sizes])]
+    def __init__(self, sizes: np.ndarray, probs: np.ndarray, koff: np.ndarray, after: np.ndarray):
         if len(sizes) > 1 << (63 - self.ROW_SHIFT):  # the row bits must stay below the sign bit
             raise ValueError(f"a policy may reach at most {1 << (63 - self.ROW_SHIFT)} group sizes")
-        self.sizes, self.probs, self.koff = sizes, probs[sizes], offset[sizes]
-        self.row_bits = np.full(len(probs), -1, dtype=np.int64)  # -1 at size 0, which ``after`` gives a capture
-        self.row_bits[sizes] = np.arange(len(sizes), dtype=np.int64) << self.ROW_SHIFT
-        self.next = self.row_bits[after]
+        self.sizes, self.probs, self.koff = sizes, probs, koff
+        self.next = np.where(after < 0, -1, after << self.ROW_SHIFT)
 
         p = np.where(self.probs > 0.5, 1.0 - self.probs, self.probs)
         self.fused = None
@@ -435,11 +437,9 @@ class _CaptureStep:
         # int64 like the ids, since widening a narrower table each slot cost
         # about a fifth more time
         fused = np.empty((len(sizes), 4096), dtype=np.int64)
-        for r, t in enumerate(lo):
-            x, pure = _bucket_counts(t)
-            pure &= x <= self.bound[r]
-            k = np.abs(self.flipped[r] - np.minimum(x, self.bound[r]))
-            fused[r] = np.where(pure, self.next[self.koff[r] + k], self.SLOW)
+        for r, t in enumerate(lo):  # counts 0..bound give their next row bits, bound + 1 (a redraw) SLOW
+            k = np.abs(self.flipped[r] - np.arange(self.bound[r] + 1))
+            fused[r] = _bucket_table(t[: self.bound[r] + 1], np.append(self.next[self.koff[r] + k], SLOW))
         self.fused = fused.ravel()
 
     def __call__(self, gen: np.random.Generator, ids: np.ndarray) -> tuple[np.ndarray, None]:
@@ -449,7 +449,7 @@ class _CaptureStep:
         key = (w >> 52).view(np.int64)  # u's top 12 bits: its bucket
         key += ids >> INDEX_BITS
         row = self.fused[key]
-        slow = np.flatnonzero(row == self.SLOW)
+        slow = np.flatnonzero(row == SLOW)
         if len(slow):
             r = ids[slow] >> self.ROW_SHIFT
             j = (w[slow] >> 11).view(np.int64)
@@ -480,7 +480,7 @@ def simulate_capture(
     """
     if users < 1:
         raise ValueError("need users >= 1")
-    step = _CaptureStep(*_policy_tables(policy, users))
+    step = _CaptureStep(*_policy_rows(policy, users))
     return _stopping_times(lambda chunk: RngStream(seed, (DOMAIN_CAPTURE, users, chunk)), episodes, step,
                            max_slots=max_slots)
 

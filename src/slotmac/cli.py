@@ -25,6 +25,7 @@ from typing import Callable
 from . import __version__
 from .analytics import alpha_optimal, beta3, beta4, expected_y
 from .capture import (
+    MAX_USERS,
     FixedProbabilityPolicy,
     GroupSplittingPolicy,
     converse_checks,
@@ -151,6 +152,8 @@ def _exec_capture_simulate(opts: dict) -> CommandResult:
         expected = None
         policy_desc = {"kind": "fixed", "p": opts["fixed_p"]}
     else:
+        if not 1 <= users <= MAX_USERS:
+            raise ValueError(f"--users must be in 1..{MAX_USERS} for the solved policy; --fixed-p has no upper limit")
         table = solve_capture_table(users)
         policy = GroupSplittingPolicy(table)
         expected = table.values[users]

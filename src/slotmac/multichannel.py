@@ -24,10 +24,10 @@ user can decide from its own view whether that is them (in the one
 ambiguous view, both possible worlds say "not you").  The 64-pattern space
 is small enough that tests simply enumerate it.
 
-The simulators draw a subset code from a table over the buckets of a
-uniform's raw word, searching cum only in buckets a threshold falls in
-(``_code_drawer``), and the three-user step reads each round's outcome
-from a 64-entry table of code patterns.
+The simulators draw a subset code from ``capture._bucket_table``'s table
+over the buckets of a uniform's raw word, searching cum only in ``SLOW``
+buckets, those a threshold falls in (``_code_drawer``), and the three-user
+step reads each round's outcome from a 64-entry table of code patterns.
 """
 
 from __future__ import annotations
@@ -41,10 +41,11 @@ from typing import Callable
 import numpy as np
 
 from .capture import (
+    SLOW,
     CaptureTable,
     GroupSplittingPolicy,
     SimSummary,
-    _bucket_counts,
+    _bucket_table,
     _stopping_times,
     simulate_capture,
     solve_capture_table,
@@ -226,13 +227,12 @@ def _code_drawer(dist: np.ndarray) -> Callable[[np.random.Generator, int, int], 
     ``dist``'s cumsum ending in 1, from the same words: the k with w >> 11 > ceil(cum_k 2^53) - 1."""
     cum = np.cumsum(dist)
     cum[-1] = 1.0
-    count, pure = _bucket_counts(np.ceil(cum * 2.0**53).astype(np.int64) - 1)
-    table = np.where(pure, count, -1)
+    table = _bucket_table(np.ceil(cum * 2.0**53).astype(np.int64) - 1, np.arange(len(cum) + 1))
 
     def draw(gen: np.random.Generator, rows: int, users: int) -> np.ndarray:
         w = gen.bit_generator.random_raw(rows * users)
         codes = table[(w >> 52).view(np.int64)]
-        slow = np.flatnonzero(codes < 0)
+        slow = np.flatnonzero(codes == SLOW)
         if len(slow):
             codes[slow] = np.searchsorted(cum, (w[slow] >> 11) * 2.0**-53, side="right")
         return codes.reshape(rows, users)

@@ -135,12 +135,6 @@ class MeritReport:
     baseline: str | None  # the dead-channel entrant beta is measured against
     rows: list[MeritRow] = field(default_factory=list)
 
-    def row(self, name: str) -> MeritRow:
-        for r in self.rows:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
     def to_json(self) -> str:
         payload = {
             "horizon": self.horizon,

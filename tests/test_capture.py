@@ -5,10 +5,13 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slotmac import (
     FixedProbabilityPolicy,
@@ -245,26 +248,26 @@ def test_scalar_episodes_agree_with_table(capture_table):
 
 def test_policy_tables_cover_the_reachable_sizes(capture_table):
     policy = GroupSplittingPolicy(capture_table)
-    probs, offset, after = capture._policy_tables(policy, 7)
+    sizes, probs, koff, after = capture._policy_rows(policy, 7)
     reachable = {7}
     for m in range(7, 1, -1):
         if m in reachable:
             reachable |= {k if policy.survivor(m, k) == "transmitters" else m - k for k in range(2, m)}
-    assert set(np.flatnonzero(offset >= 0)) == reachable
-    for m in reachable:
-        assert probs[m] == policy.transmit_prob(m)
-        row = after[offset[m]: offset[m] + m + 1]
+    assert sizes[0] == 7 and len(sizes) == len(reachable) and set(sizes.tolist()) == reachable
+    for r, m in enumerate(sizes.tolist()):
+        assert probs[r] == policy.transmit_prob(m)
+        row = after[koff[r]: koff[r] + m + 1]
         # nobody or everybody transmitting keeps the group; k = 1 captures
-        assert row[0] == m and (m == 1 or row[m] == m)
+        assert row[0] == r and row[1] == -1 and (m == 1 or row[m] == r)
         for k in range(2, m):
-            assert row[k] == (k if policy.survivor(m, k) == "transmitters" else m - k), (m, k)
+            assert sizes[row[k]] == (k if policy.survivor(m, k) == "transmitters" else m - k), (m, k)
 
 
 def test_policy_tables_of_a_policy_that_never_splits_have_one_row():
-    probs, offset, after = capture._policy_tables(FixedProbabilityPolicy(0.001), 20_000)
-    assert list(np.flatnonzero(offset >= 0)) == [20_000]
-    assert len(after) == 20_001
-    assert probs[20_000] == 0.001
+    sizes, probs, koff, after = capture._policy_rows(FixedProbabilityPolicy(0.001), 20_000)
+    assert sizes.tolist() == [20_000] and koff.tolist() == [0]
+    assert len(after) == 20_001 and after[1] == -1 and np.count_nonzero(after) == 1
+    assert probs.tolist() == [0.001]
 
 
 @dataclass(frozen=True)
@@ -287,12 +290,82 @@ class _BadAtFive:
 
 def test_policy_tables_check_every_reachable_size():
     with pytest.raises(ValueError, match="'sideways' is not recognized"):
-        capture._policy_tables(_BadAtFive(verdict="sideways"), 7)
+        capture._policy_rows(_BadAtFive(verdict="sideways"), 7)
     with pytest.raises(ValueError, match="1.5 is outside"):
-        capture._policy_tables(_BadAtFive(p=1.5), 7)
+        capture._policy_rows(_BadAtFive(p=1.5), 7)
     # from 6 users size 5 is never reached, so nothing asks it
-    probs, offset, after = capture._policy_tables(_BadAtFive("sideways", 1.5), 6)
-    assert list(np.flatnonzero(offset >= 0)) == [6]
+    sizes, _, _, _ = capture._policy_rows(_BadAtFive("sideways", 1.5), 6)
+    assert sizes.tolist() == [6]
+
+
+VERDICTS = ("transmitters", "silent", "repeat")
+
+
+class _Scripted:
+    """A policy read from per-size probabilities and a verdict per (m, k),
+    recording every question it is asked."""
+
+    def __init__(self, probs, verdicts):
+        self.probs, self.verdicts, self.asked = probs, verdicts, []
+
+    def transmit_prob(self, group_size):
+        self.asked.append((group_size,))
+        return self.probs[group_size]
+
+    def survivor(self, group_size, transmitted):
+        self.asked.append((group_size, transmitted))
+        return VERDICTS[self.verdicts[group_size, transmitted]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    users=st.integers(1, 40),
+    data=st.data(),
+    weights=st.lists(st.integers(0, 4), min_size=3, max_size=3).filter(any),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_policy_rows_equal_a_plain_search_over_survivor(users, data, weights, seed):
+    probs = [math.nan, *data.draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                                           min_size=users, max_size=users))]
+    verdicts = np.random.default_rng(seed).choice(3, size=(users + 1, users + 1), p=np.array(weights) / sum(weights))
+    policy = _Scripted(probs, verdicts)
+
+    def side(m, k):
+        return VERDICTS[verdicts[m, k]]
+
+    def left(m, k):
+        return {"transmitters": k, "silent": m - k, "repeat": m}[side(m, k)]
+
+    reachable, frontier = {users}, [users]
+    while frontier:
+        m = frontier.pop()
+        new = {left(m, k) for k in range(2, m)} - reachable
+        reachable |= new
+        frontier += new
+
+    sizes, row_probs, koff, after = capture._policy_rows(policy, users)
+    assert sizes[0] == users
+    assert len(sizes) == len(reachable) and set(sizes.tolist()) == reachable
+    # asked in the order reached, the probability first, and nothing else
+    assert policy.asked == [q for m in sizes.tolist() for q in [(m,), *[(m, k) for k in range(2, m)]]]
+    assert koff.tolist() == np.cumsum([0, *(sizes + 1)])[:-1].tolist() and len(after) == sum(sizes + 1)
+    for r, m in enumerate(sizes.tolist()):
+        assert row_probs[r] == probs[m]
+        row = after[koff[r]: koff[r] + m + 1]
+        assert row[0] == r and row[1] == -1 and (m == 1 or row[m] == r)
+        assert [sizes[row[k]] for k in range(2, m)] == [left(m, k) for k in range(2, m)]
+
+
+def test_group_splitting_past_its_table_names_the_size():
+    # it used to raise a bare IndexError from the table's tuples
+    policy = GroupSplittingPolicy(solve_capture_table(5))
+    message = "group size 7 is outside the solved table's 1..n_max = 5"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        simulate_capture(policy, 7, 100, 0)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        play_capture_episode(policy, 7, RngStream(0, (0,)))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        policy.survivor(7, 2)
 
 
 @pytest.mark.parametrize(

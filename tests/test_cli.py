@@ -589,6 +589,17 @@ def test_capture_solver_past_float_limit_exit_one(argv, capsys, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("users", ["2000", "0"])
+def test_solved_policy_simulation_names_users_range(users, capsys, tmp_path):
+    # it used to report the solver's "n_max must be between 1 and 1027",
+    # an option capture simulate does not have
+    code, out, err = run(["capture", "simulate", "--users", users, "--out-dir", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert "--users must be in 1..1027" in err and "--fixed-p has no upper limit" in err
+    assert "n_max" not in err and not out
+    assert not (tmp_path / "out").exists()
+
+
 def test_fixed_p_simulation_past_solver_limit_allowed(capsys, tmp_path):
     code, _, err = run(["capture", "simulate", "--users", "1028", "--fixed-p", "0.001", "--episodes", "50",
                         "--max-slots", "5", "--out-dir", str(tmp_path)], capsys)

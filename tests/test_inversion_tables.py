@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slotmac import GroupSplittingPolicy, solve_capture_table
-from slotmac.capture import BUCKET_BITS, INDEX_MASK, _CaptureStep, _policy_tables
+from slotmac.capture import BUCKET_BITS, INDEX_MASK, SLOW, _CaptureStep, _policy_rows
 
 TOP = _CaptureStep.TOP
 PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -69,34 +69,34 @@ def test_coin_pairs_are_bits_31_and_63_of_raw_words():
 WITNESSES = tuple(range(2001, 2008))
 
 
-def _tables(rows: dict[int, float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(probs, offset, after) in the layout of ``_policy_tables`` for the
-    sizes of ``rows`` and ``WITNESSES`` (p = 1): k = 1 of m captures and any
-    other k leaves WITNESSES[k % 7]."""
+def _tables(rows: dict[int, float]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(sizes, probs, koff, after) in the layout of ``_policy_rows`` for the
+    sizes of ``WITNESSES`` (p = 1) and ``rows``, numbered in that order: k = 1
+    of m captures and any other k leaves WITNESSES[k % 7], which is row k % 7."""
     rows = {**dict.fromkeys(WITNESSES, 1.0), **rows}
-    probs = np.zeros(max(rows) + 1)
-    offset = np.full(len(probs), -1, dtype=np.int64)
-    after: list[int] = []
-    for m, p in rows.items():
-        probs[m] = p
-        offset[m] = len(after)
-        after += [0 if k == 1 else WITNESSES[k % 7] for k in range(m + 1)]
-    return probs, offset, np.array(after, dtype=np.int64)
+    koff = np.cumsum([0, *[m + 1 for m in rows]])[:-1]
+    after = [-1 if k == 1 else k % 7 for m in rows for k in range(m + 1)]
+    return np.array(list(rows)), np.array(list(rows.values())), koff, np.array(after, dtype=np.int64)
 
 
-def _sizes(step: _CaptureStep, row_bits: np.ndarray) -> np.ndarray:
-    """The group sizes that a step's returned row bits name, 0 for a capture."""
+def _rows(row_bits: np.ndarray) -> np.ndarray:
+    """The rows that a step's returned row bits name, -1 for a capture."""
     assert np.all((row_bits == -1) | (row_bits >= 0) & (row_bits & INDEX_MASK == 0))
-    return np.where(row_bits < 0, 0, step.sizes[row_bits >> _CaptureStep.ROW_SHIFT])
+    return row_bits >> _CaptureStep.ROW_SHIFT
 
 
-def _ids(step: _CaptureStep, group: np.ndarray) -> np.ndarray:
-    return step.row_bits[group] | np.arange(len(group))
+def _ids(group: np.ndarray) -> np.ndarray:
+    return group << _CaptureStep.ROW_SHIFT | np.arange(len(group))
+
+
+def _row_of(step: _CaptureStep, sizes: np.ndarray) -> np.ndarray:
+    row = {m: r for r, m in enumerate(step.sizes.tolist())}
+    return np.array([row[m] for m in sizes.tolist()], dtype=np.int64)
 
 
 def _reachable(policy, users: int) -> dict[int, float]:
-    probs, offset, _ = _policy_tables(policy, users)
-    return {m: probs[m] for m in np.flatnonzero(offset >= 0).tolist()}
+    sizes, probs, _, _ = _policy_rows(policy, users)
+    return dict(zip(sizes.tolist(), probs.tolist()))
 
 
 # size -> p: every size the solved policy reaches from 100 users, and rows
@@ -127,17 +127,17 @@ def test_forced_uniforms_at_every_threshold(name):
     # each draw is a slot of three: the forced uniform and two stream ones,
     # so a redraw rewinds a slot of more than one
     rows = ROWS[name]()
-    probs, offset, after = _tables(rows)
-    step = _CaptureStep(probs, offset, after)
+    sizes, probs, koff, after = _tables(rows)
+    step = _CaptureStep(sizes, probs, koff, after)
     mismatches = checked = redraws = 0
-    for row, m in enumerate(step.sizes.tolist()):
+    for row, m in enumerate(sizes.tolist()):
         if m not in rows:
             continue
-        group = np.full(3, m)
+        group = np.full(3, row)
         for j in _edge_uniforms(step, row):
             mine, numpy_ = forced_generator(j), forced_generator(j)
-            got = _sizes(step, step(mine, _ids(step, group))[0])
-            want = after[offset[group] + numpy_.binomial(group, probs[group])]
+            got = _rows(step(mine, _ids(group))[0])
+            want = after[koff[group] + numpy_.binomial(sizes[group], probs[group])]
             mismatches += not np.array_equal(got, want) or mine.random() != numpy_.random()
             checked += 1
             redraws += j > step.thresholds[row, step.bound[row]]
@@ -148,28 +148,30 @@ def test_forced_uniforms_at_every_threshold(name):
 @pytest.mark.parametrize("name", sorted(ROWS))
 def test_every_pure_bucket_holds_the_count_its_thresholds_give(name):
     # the count as the size the split leaves after it
-    probs, offset, after = _tables(ROWS[name]())
-    step = _CaptureStep(probs, offset, after)
+    sizes, probs, koff, after = _tables(ROWS[name]())
+    step = _CaptureStep(sizes, probs, koff, after)
     first = np.arange(4096, dtype=np.int64) << BUCKET_BITS
     last = first + (1 << BUCKET_BITS) - 1
     for row, t in enumerate(step.thresholds):
-        m = step.sizes[row]
+        m = sizes[row]
         x_first = np.count_nonzero(first[:, None] > t, axis=1)
         x_last = np.count_nonzero(last[:, None] > t, axis=1)
         fused = step.fused[row * 4096:(row + 1) * 4096]
         pure = (x_first == x_last) & (x_first <= step.bound[row])
-        assert np.array_equal(fused != _CaptureStep.SLOW, pure)
-        k = m - x_first[pure] if probs[m] > 0.5 else x_first[pure]
-        assert np.array_equal(_sizes(step, fused[pure]), after[offset[m] + k])
+        assert np.array_equal(fused != SLOW, pure)
+        k = m - x_first[pure] if probs[row] > 0.5 else x_first[pure]
+        assert np.array_equal(_rows(fused[pure]), after[koff[row] + k])
 
 
 def _assert_slots_match(rows: dict[int, float], group: np.ndarray, seed: int, slots: int = 3) -> _CaptureStep:
-    probs, offset, after = _tables(rows)
-    step = _CaptureStep(probs, offset, after)
+    # ``group`` holds sizes; the step sees the rows that hold them
+    sizes, probs, koff, after = _tables(rows)
+    step = _CaptureStep(sizes, probs, koff, after)
+    group = _row_of(step, group)
     mine, numpy_ = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(slots):
-        got = _sizes(step, step(mine, _ids(step, group))[0])
-        assert np.array_equal(got, after[offset[group] + numpy_.binomial(group, probs[group])])
+        got = _rows(step(mine, _ids(group))[0])
+        assert np.array_equal(got, after[koff[group] + numpy_.binomial(sizes[group], probs[group])])
     assert mine.random() == numpy_.random()
     return step
 
@@ -191,9 +193,8 @@ def test_tables_only_where_numpy_inverts(m, p, tabled):
 def test_row_bits_stay_below_the_sign_bit(monkeypatch):
     # two rows fit below bit 63 when a row is worth 2^62, three do not
     monkeypatch.setattr(_CaptureStep, "ROW_SHIFT", 62)
-    probs, offset, after = _tables({})
     with pytest.raises(ValueError, match="at most 2 group sizes"):
-        _CaptureStep(probs, offset, after)
+        _CaptureStep(*_tables({}))
 
 
 def by_mean(m: int, low: float, high: float):

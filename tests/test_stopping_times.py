@@ -138,11 +138,45 @@ PINNED = {
         lambda t: simulate_multichannel(3, 1, 140_000, seed=18),
         (140000, 140000, 0, "1.7926285714285715", "0.0023403335656230154"),
     ),
+    # recorded before the capture step took its rows in the order reached:
+    # the solved policy reaches 151 group sizes from 300 users
+    "capture_three_hundred_three_chunks": (
+        lambda t: simulate_capture(GroupSplittingPolicy(_table(300)), 300, 140_000, seed=19),
+        (140000, 140000, 0, "2.3755928571428573", "0.004116712908912549"),
+    ),
 }
 
 
 def test_pinned_cases_span_chunks():
     assert 70_000 > CHUNK_SIZE
+
+
+def _renumbered(rows, seed):
+    """``_policy_rows``' rows in a random order that keeps row 0 first."""
+    sizes, probs, koff, after = rows
+    order = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(len(sizes) - 1)])
+    new_row = np.argsort(order)  # old row -> new row
+    blocks = [after[koff[r]: koff[r] + sizes[r] + 1] for r in order.tolist()]
+    after = np.concatenate([np.where(b < 0, -1, new_row[b]) for b in blocks])
+    return sizes[order], probs[order], np.cumsum([0, *(sizes[order] + 1)])[:-1], after
+
+
+@pytest.mark.parametrize("users, table_p", [(100, None), (300, None), (100, 0.5)])
+def test_row_numbering_changes_no_bit(users, table_p):
+    # ids keep their positions and words are read in position order, so
+    # which number a group size's row gets never reaches a draw; p = 0.5 at
+    # 100 users puts every slot on ``Generator.binomial``
+    table = _table(users) if table_p is None else _with_prob(_table(users), users, table_p)
+    rows = capture._policy_rows(GroupSplittingPolicy(table), users)
+    assert len(rows[0]) > 50
+
+    def run(rows):
+        return capture._stopping_times(lambda chunk: RngStream(20, (DOMAIN_CAPTURE, users, chunk)), 70_000,
+                                       capture._CaptureStep(*rows))
+
+    renumbered = _renumbered(rows, seed=users)
+    assert renumbered[0][0] == users and not np.array_equal(renumbered[0], rows[0])
+    assert run(renumbered) == run(rows)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
