@@ -42,18 +42,20 @@ Every Monte Carlo estimate here and in ``multichannel`` runs through one
 stopping-time loop, ``_stopping_times``.  Episodes go in chunks of
 ``CHUNK_SIZE``, chunk c drawing from its own stream, and ``rng.run_units``
 runs the chunks on one thread per usable CPU, never more than there are
-chunks.  Each chunk writes its episodes' end slots into its own slice of
-one array, so the worker count never changes an output bit.  A chunk
-carries one int64 id per open episode, in episode order: the episode's
-row, the state a simulator keeps for it, in the high bits and its index
-in the chunk in the low ``INDEX_BITS``.  Each slot t a simulator's step
-sees the ids of the still-open episodes and returns their next row bits,
--1 for those that end at t, with a mask of those that end at t + 1 (a
-deterministic follow-up slot) or None.  The loop writes t as the end of
-every open episode, so the last write stands, puts the indices back
-under the row bits and compacts that one array with one ``compress``.
-An end past ``max_slots`` is censored: reset to 0, counted in
-``SimSummary.censored`` and left out of the mean.
+chunks.  Each chunk writes its episodes' end slots, in the narrowest
+unsigned type that holds ``max_slots``, into its own slice of one array,
+so the worker count never changes an output bit.  A chunk carries one
+int64 id per open episode, in episode order: the episode's row, the state
+a simulator keeps for it, in the high bits and its index in the chunk in
+the low ``INDEX_BITS``.  Each slot t a simulator's step sees the ids of
+the still-open episodes, ``CHUNK_SIZE`` at a time in id order, and returns
+their next row bits, -1 for those that end at t, with a mask of those that
+end at t + 1 (a deterministic follow-up slot) or None.  The loop writes t
+as the end of every open episode, so the last write stands, puts the
+indices back under the row bits and compacts each block's survivors with
+one ``compress`` into the blocks already read.  An end past ``max_slots``
+is censored: reset to 0, counted in ``SimSummary.censored`` and left out
+of the mean.
 
 The steps read raw PCG64 words where numpy's draws would: a word w is the
 uniform (w >> 11) 2^-53 of ``Generator.random``, and w >> 52 its bucket,
@@ -328,16 +330,17 @@ def _stopping_times(stream: Callable[[int], RngStream], episodes: int, step: Cal
     ``stream(c)``, every episode starting in row 0, and slot t calls
     ``step(gen, ids)`` with the ids of the still-open episodes, which
     returns (a new array of their next row bits, -1 where an episode ends
-    at t; a mask of those that end at t + 1, or None).  ``Generator`` draws
-    and fancy indexing release the GIL, so the chunks' threads overlap."""
+    at t; a mask of those that end at t + 1, or None), in blocks of at most
+    ``CHUNK_SIZE`` ids.  Draws and fancy indexing release the GIL."""
     if episodes < 1 or max_slots < 1:
         raise ValueError("need episodes >= 1 and max_slots >= 1")
     if min(episodes, chunk_size) > INDEX_MASK + 1:
         raise ValueError(f"a chunk holds at most {INDEX_MASK + 1} episodes")
 
     # the chunks write their ends into slices of one array the caller owns,
-    # so no worker allocates anything that outlives its chunk
-    done_at = np.zeros(episodes, dtype=np.int64)
+    # so no worker allocates anything that outlives its chunk; 2 bytes an end at 10,000 slots
+    ends_type = next((d for d in (np.uint8, np.uint16, np.uint32) if max_slots <= np.iinfo(d).max), np.uint64)
+    done_at = np.zeros(episodes, dtype=ends_type)
 
     def run_chunk(chunk: int) -> None:
         ends = done_at[chunk * chunk_size: (chunk + 1) * chunk_size]
@@ -346,13 +349,18 @@ def _stopping_times(stream: Callable[[int], RngStream], episodes: int, step: Cal
         for t in range(1, max_slots + 1):
             if len(ids) == 0:
                 break
-            row, ends_next = step(gen, ids)
-            ids &= INDEX_MASK  # in place: the step is done with the ids
-            ends[ids] = t  # kept by the episodes that end now, overwritten by the rest
-            if ends_next is not None:
-                ends[ids.compress(ends_next)] = t + 1 if t < max_slots else 0
-            row |= ids
-            ids = row.compress(row >= 0)
+            kept = 0
+            for lo in range(0, len(ids), CHUNK_SIZE):  # in id order, so each write lands in a block already read
+                block = ids[lo:lo + CHUNK_SIZE]
+                row, ends_next = step(gen, block)
+                block &= INDEX_MASK  # in place: the step is done with the ids
+                ends[block] = t  # kept by the episodes that end now, overwritten by the rest
+                if ends_next is not None:
+                    ends[block.compress(ends_next)] = t + 1 if t < max_slots else 0
+                row |= block
+                keep = row >= 0
+                kept += len(np.compress(keep, row, out=ids[kept:kept + np.count_nonzero(keep)]))
+            ids = ids[:kept]
         ends[ids & INDEX_MASK] = 0  # open after max_slots: censored
 
     run_units(-(-episodes // chunk_size), run_chunk, _usable_cpus())
@@ -389,10 +397,10 @@ class _CaptureStep:
     U's raw word w, holds the next row bits of the bucket's j, or ``SLOW``
     where a threshold or the redraw region falls in it; those draws, about
     0.2%, count thresholds below j = w >> 11.
-    A slot with a redraw rewinds its uniforms and calls ``gen.binomial``
-    itself, as does every slot of a policy with a row off the path (p = 0,
-    or min(p, 1 - p) m > 30).  One gather then replaces the count, the
-    flip and the split."""
+    A block with a redraw rewinds its own uniforms (the blocks before it
+    drew numpy's counts) and calls ``gen.binomial`` itself, as does every
+    block of a policy with a row off the path (p = 0, or min(p, 1 - p) m >
+    30).  One gather then replaces the count, the flip and the split."""
 
     TOP = 2**53 - 1  # j of the largest double Generator.random returns
     ROW_SHIFT = INDEX_BITS + 12  # row r starts at bucket r 4096 of ``fused``
@@ -489,7 +497,7 @@ def simulate_virtual_pair(episodes: int, seed: int, max_slots: int = 10_000) -> 
     """Capture time for two devices that each send 0 or 1 packets per slot
     with equal probability, stopping when exactly one packet is sent.  The
     two-user floor argument says this takes 2 slots on average.  All
-    episodes share one unchunked stream."""
+    episodes share one stream: one chunk, stepped in blocks."""
 
     def step(gen, ids):
         # the coins are bits 31 and 63 of a word: -1 where their xor, now bit 63, is set

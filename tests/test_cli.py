@@ -634,6 +634,17 @@ def test_multichannel_optimize_oversized_grid_exit_one(capsys, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("tol", ["1e-16", "1e-300"])
+def test_multichannel_optimize_tolerance_below_float_spacing(tol, capsys, tmp_path):
+    # any tol below about 3e-16 used to exit 1 with golden_section's "need lo < hi"
+    code, _, err = run(["multichannel", "optimize", "--tol", tol, "--out-dir", str(tmp_path / "fine")], capsys)
+    assert code == 0, err
+    assert run(["multichannel", "optimize", "--out-dir", str(tmp_path / "default")], capsys)[0] == 0
+    fine, default = ((tmp_path / d / "multichannel_opt.json").read_text() for d in ("fine", "default"))
+    value = lambda text: json.loads(text)["three_users_two_channels"]["full"]["value"]  # noqa: E731
+    assert value(fine) <= value(default)
+
+
 def test_strategy_dir_names_the_malformed_file(capsys, tmp_path):
     # the error used to give a line and column but not which file of the
     # directory they are in

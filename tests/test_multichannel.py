@@ -13,6 +13,7 @@ import pytest
 from slotmac import (
     beta_theta_full,
     beta_theta_independent,
+    multichannel,
     optimize_three_user_two_channel,
     renewal_value,
     simulate_multichannel,
@@ -25,6 +26,9 @@ from slotmac.multichannel import (
     DEFAULT_THREE_USER_PARAMS,
     MAX_CHANNELS,
     MAX_GRID,
+    SLAB_ROWS,
+    _beta_theta_poly,
+    _grid_min,
     _z_grid,
     resolve_multichannel,
     simulate_three_user_two_channel,
@@ -266,7 +270,55 @@ def test_optimizer_rejects_grids_out_of_range(grid):
 def test_sparse_z_grid_matches_dense_oracle_bit_for_bit(grid):
     # broadcasting the one-axis factors must not move a bit of any grid point
     xs = np.linspace(0.0, 1.0, grid)
-    assert np.array_equal(_z_grid(xs).view(np.int64), dense_z_grid(xs).view(np.int64))
+    assert np.array_equal(_z_grid(xs, xs).view(np.int64), dense_z_grid(xs).view(np.int64))
+
+
+def _dense_by_rows(xs: np.ndarray) -> np.ndarray:
+    """``dense_z_grid(xs)`` filled one i-row at a time, so grid 201 holds one
+    grid^3 array and not the dense meshgrid's several."""
+    q, r = np.meshgrid(xs, xs, indexing="ij")
+    z = np.full((len(xs),) * 3, math.inf)
+    for i, p in enumerate(xs):
+        beta, theta = _beta_theta_poly(np.full(q.shape, p), q, r)
+        ok = beta < 1.0 - 1e-9
+        z[i][ok] = (1.0 + theta[ok]) / (1.0 - beta[ok])
+    return z
+
+
+def _argmin_point(xs: np.ndarray, z: np.ndarray) -> tuple[list[float], float]:
+    i, j, k = np.unravel_index(np.argmin(z), z.shape)
+    return [float(xs[i]), float(xs[j]), float(xs[k])], float(z[i, j, k])
+
+
+@pytest.mark.parametrize("grid", [11, 21, 41, 101, 201])
+def test_slab_scan_finds_the_dense_argmin(grid):
+    xs = np.linspace(0.0, 1.0, grid)
+    if grid <= 41:
+        assert np.array_equal(_dense_by_rows(xs).view(np.int64), dense_z_grid(xs).view(np.int64))
+    assert grid > SLAB_ROWS and _grid_min(xs) == _argmin_point(xs, _dense_by_rows(xs))
+
+
+@pytest.mark.parametrize("levels", [1, 4, 16])
+@pytest.mark.parametrize("grid", [11, 21, 41])
+def test_slab_scan_breaks_ties_as_argmin_does(grid, levels, monkeypatch):
+    # rounding z down to 1/levels makes the minimum a plateau over several
+    # slabs; levels = 1 makes nearly the whole grid one tie
+    xs = np.linspace(0.0, 1.0, grid)
+    coarse = lambda xi, xs: np.floor(_z_grid(xi, xs) * levels) / levels  # noqa: E731
+    want = _argmin_point(xs, coarse(xs, xs))
+    rows = np.nonzero(coarse(xs, xs) == want[1])[0]
+    assert len(set((rows // SLAB_ROWS).tolist())) > 1
+    monkeypatch.setattr(multichannel, "_z_grid", coarse)
+    assert _grid_min(xs) == want
+
+
+@pytest.mark.parametrize("tol", [2.9e-16, 1e-16, 1e-300, math.ulp(0.0)])
+def test_optimizer_tolerance_below_the_float_spacing_of_its_point(tol):
+    # the trust interval around p = 0.5 and r = 1 falls below their float
+    # spacing, which used to reach golden_section as lo == hi
+    opt = optimize_three_user_two_channel(tol=tol)
+    assert opt.full.value <= optimize_three_user_two_channel().full.value
+    assert opt.full.params == (0.5, 0.0, 1.0)
 
 
 def test_optimizer_values_are_self_consistent():

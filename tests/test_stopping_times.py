@@ -32,7 +32,7 @@ from slotmac.multichannel import (
     simulate_three_user_two_channel,
     simulate_two_user,
 )
-from slotmac.rng import DOMAIN_CAPTURE, RngStream
+from slotmac.rng import DOMAIN_CAPTURE, DOMAIN_MISC, RngStream
 
 SKEWED = (0.7, 0.1, 0.1, 0.1)
 FAMILY = (0.4, 0.3, 0.6)
@@ -346,12 +346,92 @@ def test_capture_equals_a_reference_loop(users, zero, data, verdict_seed, repeat
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 129, 8193, 65536, 65537, 131_073, 300_007, 1_048_583])
 def test_summary_has_the_bits_of_numpy_mean_and_std(n):
-    # the pairwise tree splits past 2^16 elements, a sum of squares at a time
-    times = np.random.default_rng(n).geometric(0.05, n).astype(np.int64)
-    s = summarize_times(times, 3)
-    stderr = float(np.std(times, ddof=1) / math.sqrt(n)) if n > 1 else math.nan
-    assert (s.episodes, s.completed, s.censored) == (n + 3, n, 3)
-    assert (repr(s.mean), repr(s.stderr)) == (repr(float(np.mean(times))), repr(stderr))
+    # the pairwise tree splits past 2^16 elements, a sum of squares at a time;
+    # the loop stores ends in the narrowest unsigned type that holds max_slots
+    # (uint8 copies wrap the few ends past 255, which is fine for a bit check)
+    for dtype in (np.int64, np.uint8, np.uint16, np.uint32):
+        times = np.random.default_rng(n).geometric(0.05, n).astype(dtype)
+        s = summarize_times(times, 3)
+        stderr = float(np.std(times, ddof=1) / math.sqrt(n)) if n > 1 else math.nan
+        assert (s.episodes, s.completed, s.censored) == (n + 3, n, 3)
+        assert (repr(s.mean), repr(s.stderr)) == (repr(float(np.mean(times))), repr(stderr)), dtype
+
+
+EDGES = [255, 256, 65535, 65536]  # the largest max_slots of uint8 and uint16 ends, and one past each
+
+
+@pytest.mark.parametrize("max_slots", EDGES)
+def test_ends_land_on_max_slots_at_each_end_type_edge(max_slots, monkeypatch):
+    # episode 0 ends at max_slots - 1, 1 at max_slots, 2 by a follow-up onto
+    # max_slots, 3 by a follow-up past it (censored), 4 never and 5 at slot 1
+    stop = np.array([max_slots - 1, max_slots, max_slots - 1, max_slots, 0, 1])
+    follow_up = np.array([False, False, True, True, False, False])
+    slot = itertools.count(1)
+
+    def step(gen, ids):
+        now = stop[ids] == next(slot)
+        return np.where(now, -1, 0), now & follow_up[ids]
+
+    types = []
+    monkeypatch.setattr(capture, "summarize_times", lambda times, censored: types.append(times.dtype)
+                        or summarize_times(times, censored))
+    got = capture._stopping_times(lambda chunk: RngStream(0, (chunk,)), 6, step, max_slots=max_slots)
+    assert next(slot) == max_slots + 1
+    assert types == [{255: np.uint8, 256: np.uint16, 65535: np.uint16, 65536: np.uint32}[max_slots]]
+    assert got == summarize_times(np.array([max_slots - 1, max_slots, max_slots, 1], dtype=np.int64), 2)
+
+
+@pytest.mark.parametrize("max_slots, p", [(255, 0.7), (256, 0.7), (65535, 0.9), (65536, 0.9)])
+def test_censoring_capture_at_each_end_type_edge_equals_the_int64_reference(max_slots, p):
+    # a few percent of the episodes run past max_slots; p > 0.5 reads the flipped table
+    episodes = 3000 if max_slots < 1000 else 300
+    policy = FixedProbabilityPolicy(p)
+    got = simulate_capture(policy, 6, episodes, seed=22, max_slots=max_slots)
+    assert 0 < got.censored < episodes // 10
+    assert repr(got) == repr(_reference_capture(policy, 6, episodes, 22, max_slots))
+
+
+# recorded before ends were stored narrower than int64: 8 episodes of the
+# three-user run end on slot 255, nearly all by a follow-up from slot 254,
+# and the 20 that end on 256, nearly all by a follow-up, are censored at 255
+THREE_USER_EDGES = {
+    255: (40000, 39227, 773, "60.47222576286741", "0.27089098535490663"),
+    256: (40000, 39247, 753, "60.571865365505644", "0.27166765800342474"),
+    65535: (40000, 40000, 0, "65.4964", "0.32330918699715283"),
+    65536: (40000, 40000, 0, "65.4964", "0.32330918699715283"),
+}
+
+
+@pytest.mark.parametrize("max_slots", EDGES)
+def test_three_user_follow_ups_at_each_end_type_edge_are_pinned(max_slots):
+    # p = 1, q = 1 - 1/192: three users repeat about 63 rounds in 64, and a
+    # round that does not repeat nearly always leaves a follow-up slot
+    s = simulate_three_user_two_channel((1.0, 1 - 1 / 192, 0.5), 40_000, seed=21, max_slots=max_slots)
+    assert (s.episodes, s.completed, s.censored, repr(s.mean), repr(s.stderr)) == THREE_USER_EDGES[max_slots]
+
+
+def _reference_virtual_pair(episodes: int, seed: int, max_slots: int):
+    """``simulate_virtual_pair`` as a plain loop: one ``random_raw`` call per
+    slot over every open episode, coins from bits 31 and 63 of each word."""
+    gen = RngStream(seed, (DOMAIN_MISC, 2)).generator()
+    done_at = np.zeros(episodes, dtype=np.int64)
+    open_idx = np.arange(episodes)
+    for t in range(1, max_slots + 1):
+        if len(open_idx) == 0:
+            break
+        w = gen.bit_generator.random_raw(len(open_idx))
+        one_packet = (w >> np.uint64(31) & np.uint64(1)) != (w >> np.uint64(63))
+        done_at[open_idx[one_packet]] = t
+        open_idx = open_idx[~one_packet]
+    return summarize_times(done_at[done_at > 0], int(np.count_nonzero(done_at == 0)))
+
+
+@pytest.mark.parametrize("episodes, max_slots", [(200_000, 10_000), (200_000, 3), (CHUNK_SIZE + 1, 10_000)])
+def test_virtual_pair_in_blocks_equals_one_draw_a_slot(episodes, max_slots):
+    # 200,000 episodes are four blocks of CHUNK_SIZE on one stream
+    assert -(-episodes // CHUNK_SIZE) == (4 if episodes == 200_000 else 2)
+    got = simulate_virtual_pair(episodes, seed=23, max_slots=max_slots)
+    assert repr(got) == repr(_reference_virtual_pair(episodes, 23, max_slots))
 
 
 TOP = 2**53 - 1
