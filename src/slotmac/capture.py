@@ -49,13 +49,13 @@ int64 id per open episode, in episode order: the episode's row, the state
 a simulator keeps for it, in the high bits and its index in the chunk in
 the low ``INDEX_BITS``.  Each slot t a simulator's step sees the ids of
 the still-open episodes, ``CHUNK_SIZE`` at a time in id order, and returns
-their next row bits, -1 for those that end at t, with a mask of those that
-end at t + 1 (a deterministic follow-up slot) or None.  The loop writes t
-as the end of every open episode, so the last write stands, puts the
-indices back under the row bits and compacts each block's survivors with
-one ``compress`` into the blocks already read.  An end past ``max_slots``
-is censored: reset to 0, counted in ``SimSummary.censored`` and left out
-of the mean.
+one int64 array, their next row bits, -1 for those that end at t; a
+deterministic slot, like the three-user follow-up, is a row that ends at
+the next slot.  The loop writes t as the end of every open episode, so
+the last write stands, puts the indices back under the row bits and
+compacts each block's survivors with one ``compress`` into the blocks
+already read.  An end past ``max_slots`` is censored: reset to 0, counted
+in ``SimSummary.censored`` and left out of the mean.
 
 The steps read raw PCG64 words where numpy's draws would: a word w is the
 uniform (w >> 11) 2^-53 of ``Generator.random``, and w >> 52 its bucket,
@@ -328,10 +328,9 @@ def _stopping_times(stream: Callable[[int], RngStream], episodes: int, step: Cal
                     chunk_size: int = CHUNK_SIZE) -> SimSummary:
     """The loop of the module docstring: chunk c of n episodes draws from
     ``stream(c)``, every episode starting in row 0, and slot t calls
-    ``step(gen, ids)`` with the ids of the still-open episodes, which
-    returns (a new array of their next row bits, -1 where an episode ends
-    at t; a mask of those that end at t + 1, or None), in blocks of at most
-    ``CHUNK_SIZE`` ids.  Draws and fancy indexing release the GIL."""
+    ``step(gen, ids)`` on the open episodes' ids, at most ``CHUNK_SIZE`` at
+    a time, for one new int64 array of their next row bits, -1 where an
+    episode ends at t.  Draws and fancy indexing release the GIL."""
     if episodes < 1 or max_slots < 1:
         raise ValueError("need episodes >= 1 and max_slots >= 1")
     if min(episodes, chunk_size) > INDEX_MASK + 1:
@@ -352,11 +351,9 @@ def _stopping_times(stream: Callable[[int], RngStream], episodes: int, step: Cal
             kept = 0
             for lo in range(0, len(ids), CHUNK_SIZE):  # in id order, so each write lands in a block already read
                 block = ids[lo:lo + CHUNK_SIZE]
-                row, ends_next = step(gen, block)
+                row = step(gen, block)
                 block &= INDEX_MASK  # in place: the step is done with the ids
                 ends[block] = t  # kept by the episodes that end now, overwritten by the rest
-                if ends_next is not None:
-                    ends[block.compress(ends_next)] = t + 1 if t < max_slots else 0
                 row |= block
                 keep = row >= 0
                 kept += len(np.compress(keep, row, out=ids[kept:kept + np.count_nonzero(keep)]))
@@ -450,9 +447,9 @@ class _CaptureStep:
             fused[r] = _bucket_table(t[: self.bound[r] + 1], np.append(self.next[self.koff[r] + k], SLOW))
         self.fused = fused.ravel()
 
-    def __call__(self, gen: np.random.Generator, ids: np.ndarray) -> tuple[np.ndarray, None]:
+    def __call__(self, gen: np.random.Generator, ids: np.ndarray) -> np.ndarray:
         if self.fused is None:
-            return self._binomial(gen, ids), None
+            return self._binomial(gen, ids)
         w = gen.bit_generator.random_raw(len(ids))  # Generator.random's words: u = (w >> 11) 2^-53
         key = (w >> 52).view(np.int64)  # u's top 12 bits: its bucket
         key += ids >> INDEX_BITS
@@ -464,9 +461,9 @@ class _CaptureStep:
             x = np.count_nonzero(j[:, None] > self.thresholds[r], axis=1)
             if (x > self.bound[r]).any():
                 gen.bit_generator.advance(-len(ids))
-                return self._binomial(gen, ids), None
+                return self._binomial(gen, ids)
             row[slow] = self.next[self.koff[r] + np.abs(self.flipped[r] - x)]
-        return row, None
+        return row
 
     def _binomial(self, gen: np.random.Generator, ids: np.ndarray) -> np.ndarray:
         r = ids >> self.ROW_SHIFT
@@ -503,7 +500,7 @@ def simulate_virtual_pair(episodes: int, seed: int, max_slots: int = 10_000) -> 
         # the coins are bits 31 and 63 of a word: -1 where their xor, now bit 63, is set
         w = gen.bit_generator.random_raw(len(ids))
         w ^= w << 32
-        return w.view(np.int64) >> 63, None
+        return w.view(np.int64) >> 63
 
     return _stopping_times(lambda chunk: RngStream(seed, (DOMAIN_MISC, 2)), episodes, step,
                            max_slots=max_slots, chunk_size=episodes)
@@ -605,10 +602,7 @@ class ConverseReport:
                 {"n": n, "z": z, "naive": bound, "e": math.e}
                 for n, z, bound in self.bounds
             ],
-            "windows": [
-                {"n": w.n, "low": w.low, "p": w.p, "high": w.high, "inside": w.inside}
-                for w in self.windows
-            ],
+            "windows": [{**asdict(w), "inside": w.inside} for w in self.windows],
         }
 
 

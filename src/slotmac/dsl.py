@@ -340,8 +340,7 @@ def parse_strategy(text: str) -> StrategyMachine:
     """
     report = analyze_strategy(text)
     if report.machine is None:
-        errors = report.errors or [Diagnostic("error", "no machine could be built")]
-        raise StrategyParseError(errors)
+        raise StrategyParseError(report.errors)
     return report.machine
 
 

@@ -27,7 +27,8 @@ is small enough that tests simply enumerate it.
 The simulators draw a subset code from ``capture._bucket_table``'s table
 over the buckets of a uniform's raw word, searching cum only in ``SLOW``
 buckets, those a threshold falls in (``_code_drawer``), and the three-user
-step reads each round's outcome from a 64-entry table of code patterns.
+step reads each round's outcome from a 64-entry table of code patterns:
+a repeat stays in row 0, and a follow-up is row 1, which ends next slot.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .capture import (
+    INDEX_BITS,
     SLOW,
     CaptureTable,
     GroupSplittingPolicy,
@@ -263,7 +265,7 @@ def simulate_two_user(
 
     def step(gen, ids):
         codes = draw(gen, len(ids), 2)
-        return np.where(codes[:, 0] != codes[:, 1], -1, 0), None
+        return np.where(codes[:, 0] != codes[:, 1], -1, 0)
 
     return _stopping_times(lambda chunk: RngStream(seed, (DOMAIN_MULTICHANNEL, 2, channels, chunk)), episodes,
                            step, max_slots=max_slots)
@@ -272,12 +274,12 @@ def simulate_two_user(
 DEFAULT_THREE_USER_PARAMS = (0.5, 0.0, 1.0)  # the optimum, at value 4/3
 
 
-def _three_user_outcomes() -> tuple[np.ndarray, np.ndarray]:
-    """Per pattern c0 | c1 << 2 | c2 << 4: next row bits (0 on a repeat, else -1), follow-up or not."""
+def _three_user_outcomes() -> np.ndarray:
+    """Per pattern c0 | c1 << 2 | c2 << 4, the next row bits: 0 on a repeat, -1 on a capture, else row 1."""
     codes = np.arange(64)[:, None] >> np.array([0, 2, 4]) & 3
     capture = ((codes & 1).sum(axis=1) == 1) | ((codes >> 1).sum(axis=1) == 1)
     same = (codes == codes[:, :1]).all(axis=1)
-    return np.where(same, 0, -1), ~capture & ~same
+    return np.where(same, 0, np.where(capture, -1, 1 << INDEX_BITS))
 
 
 def simulate_three_user_two_channel(
@@ -288,23 +290,25 @@ def simulate_three_user_two_channel(
 ) -> SimSummary:
     """Three users on two channels under family parameters (p, q, r).
 
-    Each round draws real per-user subsets.  Capture ends the episode at t;
-    an all-same slot repeats; any other pattern designates a single user
-    (minimum subset code) who transmits alone at t + 1, ending the episode
-    then.  The follow-up slot is deterministic for everyone, so it consumes
-    no randomness.
+    Each round, in row 0, draws real per-user subsets.  Capture ends the
+    episode at t; an all-same slot repeats; any other pattern designates a
+    single user (minimum subset code) who transmits alone at t + 1, row 1,
+    ending the episode then (censored past ``max_slots``).  The follow-up
+    slot is deterministic for everyone, so row 1 draws no randomness.
     """
     p, q, r = params
     if beta_theta_full(p, q, r).beta >= 1.0:  # also validates the parameters
         raise ValueError("these parameters never capture (beta = 1)")
     dist = np.array([(1 - p) * (1 - r), p * (1 - q), (1 - p) * r, p * q])
     draw = _code_drawer(dist)
-    row, follow_up = _three_user_outcomes()
+    outcome = _three_user_outcomes()
 
     def step(gen, ids):
-        codes = draw(gen, len(ids), 3)
-        pattern = codes[:, 0] | codes[:, 1] << 2 | codes[:, 2] << 4
-        return row[pattern], follow_up[pattern]
+        first = ids >> INDEX_BITS == 0  # row 0 draws a round; row 1, a follow-up, ends now
+        codes = draw(gen, np.count_nonzero(first), 3)
+        row = np.full(len(ids), -1)
+        row[first] = outcome[codes[:, 0] | codes[:, 1] << 2 | codes[:, 2] << 4]
+        return row
 
     return _stopping_times(lambda chunk: RngStream(seed, (DOMAIN_MULTICHANNEL, 3, 2, chunk)), episodes, step,
                            max_slots=max_slots)

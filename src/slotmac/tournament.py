@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -140,17 +140,7 @@ class MeritReport:
             "horizon": self.horizon,
             "runs": self.runs,
             "beta_baseline": self.baseline,
-            "entrants": [
-                {
-                    "name": r.name,
-                    "alpha": r.alpha,
-                    "alpha_stderr": r.alpha_stderr,
-                    "beta": r.beta,
-                    "beta_stderr": r.beta_stderr,
-                    "gamma": r.gamma,
-                }
-                for r in self.rows
-            ],
+            "entrants": [asdict(r) for r in self.rows],
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

@@ -373,6 +373,27 @@ def test_transcripts_bytes_pinned(shape, capsys, tmp_path):
     assert hashlib.sha256(text).hexdigest() == PINNED_TRANSCRIPTS[shape]
 
 
+# (file, command) -> sha256 of the file, recorded while each report still
+# wrote its fields out by name
+PINNED_REPORTS = {
+    ("merit.json", "tournament --runs 300 --horizon 30 --seed 4"):
+        "b05e981d126f8c8458954e67e6dd20e2f92df785de83b1b2c225d9ef1f479051",
+    ("merit.json", "tournament --entrants four_state,three_state --runs 1 --horizon 7 --seed 0"):
+        "6157c8456699ce027dd5906ee7ee979057383b1c9ca49b80cc7e3d4d7bfdccaf",
+    ("converse.json", "capture converse --episodes 20000 --n-max 9 --seed 0"):
+        "5df18f5fa9d021d4a1ff0bb970c399ddc570485066b8cb442c3247f5047d78bc",
+    ("converse.json", "capture converse --episodes 4000 --n-max 5 --seed 4"):
+        "7abdac1b540844580728c12fbeb426d518801821ff3163d99df3bc9a8ac77230",
+}
+
+
+@pytest.mark.parametrize("name, command", sorted(PINNED_REPORTS))
+def test_report_bytes_pinned(name, command, capsys, tmp_path):
+    code, _, _ = run([*command.split(), "--out-dir", str(tmp_path)], capsys)
+    assert code == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == PINNED_REPORTS[name, command]
+
+
 def _lineup(names, machines, horizon, seed):
     return TournamentConfig(entrants=tuple(zip(names, machines)), horizon=horizon, runs=1, seed=seed)
 

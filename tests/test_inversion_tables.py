@@ -136,7 +136,7 @@ def test_forced_uniforms_at_every_threshold(name):
         group = np.full(3, row)
         for j in _edge_uniforms(step, row):
             mine, numpy_ = forced_generator(j), forced_generator(j)
-            got = _rows(step(mine, _ids(group))[0])
+            got = _rows(step(mine, _ids(group)))
             want = after[koff[group] + numpy_.binomial(sizes[group], probs[group])]
             mismatches += not np.array_equal(got, want) or mine.random() != numpy_.random()
             checked += 1
@@ -170,7 +170,7 @@ def _assert_slots_match(rows: dict[int, float], group: np.ndarray, seed: int, sl
     group = _row_of(step, group)
     mine, numpy_ = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(slots):
-        got = _rows(step(mine, _ids(group))[0])
+        got = _rows(step(mine, _ids(group)))
         assert np.array_equal(got, after[koff[group] + numpy_.binomial(sizes[group], probs[group])])
     assert mine.random() == numpy_.random()
     return step

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slotmac import capture
+from slotmac import capture, multichannel
 from slotmac.capture import (
     CHUNK_SIZE,
     CaptureTable,
@@ -210,7 +210,7 @@ def test_exception_in_a_chunk_propagates(failing, monkeypatch):
         return RngStream(0, (chunk,))
 
     def step(gen, ids):
-        return np.where(gen.random(len(ids)) < 0.5, -1, 0), None
+        return np.where(gen.random(len(ids)) < 0.5, -1, 0)
 
     with pytest.raises(RuntimeError, match="chunk [01] failed"):
         capture._stopping_times(stream, 20, step, chunk_size=10)
@@ -227,7 +227,7 @@ def test_every_chunk_runs_once_on_more_threads_than_cores(monkeypatch):
         return RngStream(0, (chunk,))
 
     def step(gen, ids):
-        return np.where(gen.random(len(ids)) < 0.3, -1, 0), None
+        return np.where(gen.random(len(ids)) < 0.3, -1, 0)
 
     def run(cpus):
         monkeypatch.setattr(capture, "_usable_cpus", lambda: cpus)
@@ -357,20 +357,22 @@ def test_summary_has_the_bits_of_numpy_mean_and_std(n):
         assert (repr(s.mean), repr(s.stderr)) == (repr(float(np.mean(times))), repr(stderr)), dtype
 
 
+ROW_1 = 1 << capture.INDEX_BITS  # the bits of row 1 in an episode's id
 EDGES = [255, 256, 65535, 65536]  # the largest max_slots of uint8 and uint16 ends, and one past each
 
 
 @pytest.mark.parametrize("max_slots", EDGES)
 def test_ends_land_on_max_slots_at_each_end_type_edge(max_slots, monkeypatch):
     # episode 0 ends at max_slots - 1, 1 at max_slots, 2 by a follow-up onto
-    # max_slots, 3 by a follow-up past it (censored), 4 never and 5 at slot 1
+    # max_slots, 3 by a follow-up past it (censored), 4 never and 5 at slot 1;
+    # a follow-up is row 1, which ends at the next slot
     stop = np.array([max_slots - 1, max_slots, max_slots - 1, max_slots, 0, 1])
-    follow_up = np.array([False, False, True, True, False, False])
+    at_stop = np.array([-1, -1, ROW_1, ROW_1, -1, -1])
     slot = itertools.count(1)
 
     def step(gen, ids):
-        now = stop[ids] == next(slot)
-        return np.where(now, -1, 0), now & follow_up[ids]
+        i = ids & capture.INDEX_MASK
+        return np.where(ids >= ROW_1, -1, np.where(stop[i] == next(slot), at_stop[i], 0))
 
     types = []
     monkeypatch.setattr(capture, "summarize_times", lambda times, censored: types.append(times.dtype)
@@ -482,7 +484,8 @@ def test_code_lookup_equals_searchsorted_on_the_same_uniforms(dist, low, seed):
 
 def _bit_logic(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The three-user step's outcome from (n, 3) subset codes, worked out
-    with bit arithmetic per draw: the next row bits and the follow-up mask."""
+    with bit arithmetic per draw: the next row bits of a round that does
+    not leave a follow-up (0 on a repeat, else -1) and the follow-up mask."""
     bit1, bit2 = codes & 1, (codes >> 1) & 1
     c1 = bit1[:, 0] + bit1[:, 1] + bit1[:, 2]
     c2 = bit2[:, 0] + bit2[:, 1] + bit2[:, 2]
@@ -495,7 +498,31 @@ def test_outcome_table_equals_the_bit_logic_on_every_pattern():
     codes = np.array(list(itertools.product(range(4), repeat=3)))
     pattern = codes[:, 0] | codes[:, 1] << 2 | codes[:, 2] << 4
     assert sorted(pattern.tolist()) == list(range(64))
-    row, follow_up = _three_user_outcomes()
+    row = _three_user_outcomes()
     want_row, want_follow_up = _bit_logic(codes)
-    assert row.dtype == np.int64 and follow_up.dtype == bool
-    assert np.array_equal(row[pattern], want_row) and np.array_equal(follow_up[pattern], want_follow_up)
+    assert row.dtype == np.int64
+    assert np.array_equal(row[pattern], np.where(want_follow_up, ROW_1, want_row))
+
+
+def _three_user_step(monkeypatch, params):
+    """The step ``simulate_three_user_two_channel`` hands to the loop."""
+    steps = []
+    monkeypatch.setattr(multichannel, "_stopping_times", lambda stream, episodes, step, **kw: steps.append(step))
+    simulate_three_user_two_channel(params, 10, seed=0)
+    return steps[0]
+
+
+@pytest.mark.parametrize("params", [FAMILY, (1.0, 1 - 1 / 192, 0.5)])
+def test_follow_up_rows_draw_no_word(params, monkeypatch):
+    step = _three_user_step(monkeypatch, params)
+    gen = np.random.default_rng(3)
+    before = gen.bit_generator.state
+    assert np.array_equal(step(gen, np.arange(5) | ROW_1), np.full(5, -1))
+    assert gen.bit_generator.state == before
+    # among row-0 ids, in id order, row 1 leaves the words each round reads as they were
+    mixed = np.arange(2000) | np.where(np.arange(2000) % 3 == 1, ROW_1, 0)
+    alone, with_row_1 = np.random.default_rng(4), np.random.default_rng(4)
+    want = step(alone, mixed[mixed < ROW_1])
+    got = step(with_row_1, mixed)
+    assert np.array_equal(got[mixed < ROW_1], want) and (got[mixed >= ROW_1] == -1).all()
+    assert alone.bit_generator.state == with_row_1.bit_generator.state
